@@ -16,7 +16,7 @@ Where that wins and where it loses is the point of this tour:
   reversible races, so DPOR visits a fraction of what sleep sets do.
 - Convergent spin loops are the structural counterexample: thousands
   of distinct interleavings collapse into a handful of *unique states*,
-  which the stateful sleep+dedup engine collapses and stateless DPOR,
+  which the stateful sleep+dedup backend collapses and stateless DPOR,
   by construction, cannot.
 
 Both backends always return the same verdict — that identity is pinned
@@ -103,7 +103,7 @@ def main():
     show(results)
     print("   -> the structural limit of stateless DPOR: equivalence")
     print("      classes outnumber unique states, so the stateful")
-    print("      sleep+dedup engine wins here.  Same verdict either way;")
+    print("      sleep+dedup backend wins here.  Same verdict either way;")
     print("      pick the backend per workload with --por.")
 
 

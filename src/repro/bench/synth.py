@@ -18,9 +18,13 @@ Generated code mixes:
   implicit/explicit barrier counts);
 - a runnable ``main`` so the module also works on the VM.
 
-Determinism: a seeded :class:`random.Random` drives all choices.
+Determinism: a :class:`random.Random` seeded from a BLAKE2 digest of
+the profile name and seed drives all choices, so the same arguments give
+the same text in every process (``hash()`` of a string is salted per
+process and must not seed it).
 """
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -63,7 +67,9 @@ class SyntheticCodebase:
     def __init__(self, profile, scale=100, seed=0):
         self.profile = profile
         self.scale = scale
-        self.rng = random.Random((hash(profile.name) & 0xFFFF) * 31 + seed)
+        key = repr((profile.name, seed)).encode()
+        self.rng = random.Random(int.from_bytes(
+            hashlib.blake2b(key, digest_size=8).digest(), "big"))
         self.parts = []
         self.fn_counter = 0
         self.global_counter = 0

@@ -248,9 +248,6 @@ def cmd_optimize(args):
 
 def _check_results(args):
     """Run one check per requested model, possibly on a process pool."""
-    # --no-reduce is the deprecated both-knobs-off alias; the explicit
-    # --por/--macro flags win over it (resolve_reduction's contract).
-    reduce = False if args.no_reduce else None
     # --repair needs the porting pipeline even at level original (the
     # repair stage lives there).
     needs_port = args.level != "original" or args.repair
@@ -263,10 +260,9 @@ def _check_results(args):
             CheckTask(
                 name=args.file, source=source, model=model,
                 level=args.level if needs_port else None,
-                max_steps=args.max_steps, reduce=reduce,
-                por=args.por, macro=args.macro,
+                max_steps=args.max_steps, por=args.por, macro=args.macro,
                 config=_build_config(args), is_ir=args.file.endswith(".ir"),
-                robustness=args.robustness, engine=args.engine,
+                robustness=args.robustness,
             )
             for model in args.models
         ]
@@ -276,12 +272,10 @@ def _check_results(args):
         module, _report = port_module(
             module, _LEVELS[args.level], config=_build_config(args)
         )
-    engine_kwargs = {} if args.engine is None else {"engine": args.engine}
     return (
         (model, check_module(
-            module, model=model, max_steps=args.max_steps, reduce=reduce,
-            por=args.por, macro=args.macro,
-            robustness=args.robustness, **engine_kwargs,
+            module, model=model, max_steps=args.max_steps, por=args.por,
+            macro=args.macro, robustness=args.robustness,
         ))
         for model in args.models
     )
@@ -925,10 +919,6 @@ def build_parser():
                             "processes")
     check.add_argument("--stats", action="store_true",
                        help="print exploration statistics per model")
-    check.add_argument("--no-reduce", action="store_true",
-                       help="deprecated alias for '--por none --macro "
-                            "off' (disable partial-order reduction and "
-                            "macro-stepping together)")
     check.add_argument("--por", default=None,
                        choices=["none", "sleep", "dpor"],
                        help="partial-order-reduction backend: 'sleep' "
@@ -944,13 +934,6 @@ def build_parser():
                        action=argparse.BooleanOptionalAction,
                        help="skip exploration for statically robust "
                             "modules (--no-robustness always explores)")
-    check.add_argument("--engine", default=None,
-                       choices=["inplace", "clone"],
-                       help="exploration engine: 'inplace' (undo-log "
-                            "DFS, the fast default) or 'clone' (the "
-                            "reference copy-per-transition engine); "
-                            "verdicts and state counts are identical "
-                            "by construction")
     check.add_argument("--json", action="store_true",
                        help="emit one CheckResult JSON object per model "
                             "on stdout")

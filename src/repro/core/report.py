@@ -30,8 +30,6 @@ class PortingReport:
     #: Accesses converted via sticky-buddy alias exploration.
     sticky_conversions: int = 0
     #: Accesses converted by the Naïve porter (level ``naive`` only).
-    #: Historically this count was stored in ``sticky_conversions``;
-    #: the JSON output keeps that key as a deprecated alias.
     naive_conversions: int = 0
     #: Marked accesses exempted by lock-protection pruning.
     pruned_protected: int = 0
@@ -87,16 +85,7 @@ class PortingReport:
         return self.stats.total_seconds or self.porting_seconds
 
     def to_dict(self):
-        """JSON-ready structure (``atomig port``/``tables`` payloads).
-
-        ``sticky_conversions`` historically also carried the Naïve
-        porter's conversion count; that spelling is kept as a
-        deprecated alias of ``naive_conversions`` for ``naive``-level
-        reports so existing consumers keep working.
-        """
-        sticky = self.sticky_conversions
-        if self.level == "naive":
-            sticky = self.naive_conversions  # deprecated alias
+        """JSON-ready structure (``atomig port``/``tables`` payloads)."""
         return {
             "module": self.module_name,
             "level": self.level,
@@ -105,7 +94,7 @@ class PortingReport:
             "spin_controls": list(self.spin_controls),
             "optimistic_controls": list(self.optimistic_controls),
             "annotation_conversions": self.annotation_conversions,
-            "sticky_conversions": sticky,
+            "sticky_conversions": self.sticky_conversions,
             "naive_conversions": self.naive_conversions,
             "pruned_protected": self.pruned_protected,
             "alias_mode": self.alias_mode,
@@ -256,8 +245,8 @@ def format_exploration_stats(stats):
     each model's verdict line.
     """
     rows = []
-    if getattr(stats, "engine", "") or getattr(stats, "por", ""):
-        backend = f"{stats.engine or '?'} engine, por={stats.por or '?'}"
+    if getattr(stats, "por", ""):
+        backend = f"por={stats.por}"
         if getattr(stats, "macro", ""):
             backend += f", macro={stats.macro}"
         rows.append(("backend", backend))

@@ -102,19 +102,28 @@ class Parser:
 
     def parse_program(self):
         structs, globals_, functions, enums = [], [], [], []
-        while not self._at(T.EOF):
-            if self._at(T.KW_TYPEDEF):
-                self._parse_typedef()
-            elif self._at(T.KW_STRUCT) and self._peek(2).kind is T.LBRACE:
-                structs.append(self._parse_struct_def())
-            elif self._at(T.KW_ENUM):
-                enums.append(self._parse_enum_def())
-            else:
-                decl_or_fn = self._parse_global_or_function()
-                if isinstance(decl_or_fn, ast.FunctionDef):
-                    functions.append(decl_or_fn)
+        try:
+            while not self._at(T.EOF):
+                if self._at(T.KW_TYPEDEF):
+                    self._parse_typedef()
+                elif self._at(T.KW_STRUCT) and self._peek(2).kind is T.LBRACE:
+                    structs.append(self._parse_struct_def())
+                elif self._at(T.KW_ENUM):
+                    enums.append(self._parse_enum_def())
                 else:
-                    globals_.extend(decl_or_fn)
+                    decl_or_fn = self._parse_global_or_function()
+                    if isinstance(decl_or_fn, ast.FunctionDef):
+                        functions.append(decl_or_fn)
+                    else:
+                        globals_.extend(decl_or_fn)
+        except RecursionError:
+            # Every nesting level costs a dozen Python frames, so deep
+            # enough input exhausts the interpreter's stack: report it
+            # at the token where the parser gave up.
+            token = self._peek()
+            raise ParseError(
+                "nesting too deep to parse", token.line, token.column
+            ) from None
         return ast.Program(structs, globals_, functions, enums)
 
     def _parse_typedef(self):

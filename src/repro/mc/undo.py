@@ -1,7 +1,7 @@
-"""Undo-log journal for the in-place exploration engine.
+"""Undo-log journal for the exploration engine.
 
-The clone engine copies the whole object graph per transition; the
-in-place engine instead mutates one ``State`` and *reverts*.  Every
+Instead of copying the whole object graph per transition, the explorer
+mutates one ``State`` and *reverts*.  Every
 mutating site in :mod:`repro.mc.machine` appends a typed record to a
 flat journal list **before** mutating (when ``Machine.journal`` is
 active), and :func:`revert` pops records back to a mark, restoring the

@@ -61,7 +61,11 @@ def job_dedup_key(kind, payload):
         if key != "modules"
     }
     hasher = hashlib.blake2b(digest_size=20)
-    hasher.update(f"serve1|{kind}|".encode())
+    # The tag names the job-result format: bump it when results change
+    # shape, so a restarted daemon's dedup index never serves a result
+    # in the old format (2: check stats lost their ``engine`` field,
+    # naive port reports their ``sticky_conversions`` alias).
+    hasher.update(f"serve2|{kind}|".encode())
     hasher.update(
         json.dumps(fingerprint, sort_keys=True, default=str).encode()
     )
@@ -227,7 +231,7 @@ def _execute_check(modules, level, config, models, options, fanout, emit):
     from repro.mc.parallel import CheckTask, run_task, run_tasks
 
     options = _pick(options, ("max_steps", "max_states", "por", "macro",
-                              "engine", "robustness", "entry"))
+                              "robustness", "entry"))
     options.setdefault("robustness", True)
     task_level = None if level in (None, "original") else level
     tasks = [
@@ -261,8 +265,7 @@ def _execute_optimize(modules, level, config, model, options, fanout, emit):
     )
 
     options = _pick(options, ("max_steps", "max_states", "require_marks",
-                              "robustness", "engine", "repair_seed", "arch",
-                              "entry"))
+                              "robustness", "repair_seed", "arch", "entry"))
     task_level = None if level in (None, "original") else level
     tasks = [
         OptimizeTask(name=name, source=source, model=model, level=task_level,

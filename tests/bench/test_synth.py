@@ -1,5 +1,9 @@
 """Tests for the synthetic codebase generator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.api import compile_source, port_module, run_module
@@ -12,6 +16,22 @@ def test_generation_is_deterministic():
     a = generate_codebase("memcached", scale=100, seed=3)
     b = generate_codebase("memcached", scale=100, seed=3)
     assert a == b
+
+
+def test_generation_is_identical_across_processes():
+    """String hashing is salted per process; the generator must not
+    depend on it, or Table 3's inputs change from run to run."""
+    script = ("import sys; from repro.bench.synth import generate_codebase;"
+              " sys.stdout.write(generate_codebase('memcached', scale=200))")
+    texts = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        texts.append(completed.stdout)
+    assert texts[0] and texts[0] == texts[1]
 
 
 def test_different_seeds_differ():

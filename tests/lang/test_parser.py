@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.api import compile_source
+from repro.errors import ParseError, SourceError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 
@@ -234,6 +235,27 @@ def test_unbalanced_brace_raises():
 def test_garbage_expression_raises():
     with pytest.raises(ParseError):
         parse("void f() { return +; }")
+
+
+def _nested(depth):
+    return ("int main() { int x; x = " + "(" * depth + "1" + ")" * depth
+            + "; return x; }")
+
+
+@pytest.mark.parametrize("depth", [80, 5000])
+def test_deep_nesting_raises_located_source_error(depth):
+    """Input nested past the interpreter's stack is a located
+    ``SourceError``, never a raw ``RecursionError``."""
+    with pytest.raises(SourceError) as info:
+        compile_source(_nested(depth))
+    assert isinstance(info.value, ParseError)
+    assert info.value.line == 1 and info.value.column > 0
+    assert "nesting too deep" in str(info.value)
+    assert info.value.__suppress_context__
+
+
+def test_moderate_nesting_still_compiles():
+    compile_source(_nested(40))
 
 
 def test_null_literal():

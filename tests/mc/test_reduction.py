@@ -2,8 +2,8 @@
 
 The partial-order reduction (sleep sets + macro-stepping + self-loop
 pruning, DESIGN.md §4b) must never change a verdict: for every litmus
-test and corpus program, ``reduce=True`` and ``reduce=False`` must agree
-on ``ok``/``outcome`` — while exploring strictly fewer states on the
+test and corpus program, the default reduction and the unreduced
+enumeration (``por="none", macro="off"``) must agree on ``ok``/``outcome`` — while exploring strictly fewer states on the
 programs with real scheduling redundancy.
 """
 
@@ -13,16 +13,21 @@ from repro.api import compile_source, port_module
 from repro.bench.corpus import BENCHMARKS
 from repro.bench.tables import TABLE2_BENCHMARKS, _TABLE2_LEVELS
 from repro.core.config import PortingLevel
-from repro.mc.explorer import _digest, check_module
+from repro.mc.encode import cell_hash, state_digest
+from repro.mc.explorer import check_module
 from repro.mc.litmus import LITMUS_TESTS
+from repro.mc.machine import Context, Machine
+from repro.mc.models import get_model
 
 BOUNDS = dict(max_steps=600, max_states=400_000)
+#: The unreduced enumeration: no partial-order reduction, no macro-steps.
+UNREDUCED = dict(por="none", macro="off")
 
 
 def _both(module, model="wmm", **kwargs):
     kwargs = {**BOUNDS, **kwargs}
-    oracle = check_module(module, model=model, reduce=False, **kwargs)
-    reduced = check_module(module, model=model, reduce=True, **kwargs)
+    oracle = check_module(module, model=model, **UNREDUCED, **kwargs)
+    reduced = check_module(module, model=model, **kwargs)
     return oracle, reduced
 
 
@@ -92,10 +97,11 @@ int main() {
 
 
 @pytest.mark.parametrize("model", ["sc", "wmm"])
-@pytest.mark.parametrize("reduce", [False, True])
-def test_two_lock_deadlock_reported_with_trace(model, reduce):
+@pytest.mark.parametrize("reduced", [False, True])
+def test_two_lock_deadlock_reported_with_trace(model, reduced):
     module = compile_source(DEADLOCK_SOURCE, "two_lock_deadlock")
-    result = check_module(module, model=model, reduce=reduce, **BOUNDS)
+    knobs = {} if reduced else UNREDUCED
+    result = check_module(module, model=model, **knobs, **BOUNDS)
     assert result.outcome == "deadlock"
     assert result.deadlock
     assert result.ok  # a deadlock is not an assertion violation
@@ -140,8 +146,8 @@ int main() {
     return 0;
 }
 """, "abba")
-    for reduce in (False, True):
-        result = check_module(module, model="sc", reduce=reduce, **BOUNDS)
+    for knobs in (UNREDUCED, {}):
+        result = check_module(module, model="sc", **knobs, **BOUNDS)
         assert not result.deadlock
         assert not result.violation
 
@@ -151,16 +157,25 @@ def test_digest_has_no_small_int_collisions():
     must not (a silent collision could prune an unexplored state and
     mask a violation)."""
     assert hash(-1) == hash(-2)
-    assert _digest((-1,)) != _digest((-2,))
-    assert _digest(("x", 1, (2,))) != _digest(("x", 1, (3,)))
+    assert cell_hash(8, -1) != cell_hash(8, -2)
+    assert cell_hash(8, 2) != cell_hash(8, 3)
+    module = compile_source("int g = 0; int main() { return 0; }", "one")
+    context = Context(module, get_model("sc"))
+    machine = Machine(context, max_steps=BOUNDS["max_steps"])
+    digests = []
+    for value in (-1, -2, -1):
+        state = machine.initial_state()
+        state.mem_write(8, value)
+        digests.append(state_digest(state, context.interner))
+    assert digests[0] != digests[1]
     # Deterministic across calls (it keys the visited set).
-    assert _digest(("x", 1)) == _digest(("x", 1))
+    assert digests[0] == digests[2]
 
 
 def test_stats_attached_and_consistent():
     module = compile_source(BENCHMARKS["ck_spinlock_cas"].mc_source(), "cas")
     ported, _report = port_module(module, PortingLevel.ATOMIG)
-    result = check_module(ported, model="wmm", reduce=True, **BOUNDS)
+    result = check_module(ported, model="wmm", **BOUNDS)
     stats = result.stats
     assert stats is not None
     assert stats.states_explored == result.states_explored

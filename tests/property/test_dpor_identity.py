@@ -3,18 +3,26 @@
 The DPOR explorer is only admissible as a drop-in reduction (and the
 oracle cache is only allowed to ignore ``por`` in its keys) if every
 backend returns the same verdict on every program.  These properties
-pin that across three axes the hand-written tests cannot enumerate:
+pin that across axes the hand-written tests cannot enumerate:
 
-1. The litmus gallery under random (model, engine) combinations.
+1. The litmus gallery under random models, against the sleep-set
+   backend and the unreduced enumeration.
 2. The weakened-litmus templates under *random memory-order
    assignments* — loads drawn from {relaxed, acquire, seq_cst}, stores
    from {relaxed, release, seq_cst} — which exercises every mix of
    immediate (SC/TSO) and windowed (WMM) operations, the boundary the
    footprinted-visible-step dependence in :mod:`repro.mc.dpor` lives
    on.
-3. Both exploration engines, so the journaled ``OP_CLK`` clock-table
-   reverts are checked against the clone engine's structural copies.
+3. The journaled ``OP_CLK`` clock-table reverts: the clocks are
+   excluded from ``State.canonical()`` and from the digest, so no
+   verdict or dedup check sees them.  Every revert to a DFS node must
+   restore exactly the table the node opened with.
+4. The in-place DFS itself: DPOR mutates one ``State`` and reverts it
+   to each node's journal mark before trying the node's next action,
+   so every revert must also restore the node's ``State.canonical()``.
 """
+
+import contextlib
 
 import pytest
 
@@ -24,8 +32,9 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a CI dependency
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
+import repro.mc.dpor as dpor
 from repro.api import compile_source
-from repro.mc.explorer import ENGINES, check_module
+from repro.mc.explorer import check_module
 from repro.mc.litmus import (
     LITMUS_TESTS,
     WEAKENED_LITMUS,
@@ -58,19 +67,16 @@ def _signature(result):
 @given(
     name=st.sampled_from(sorted(LITMUS_TESTS)),
     model=st.sampled_from(MODELS),
-    engine=st.sampled_from(ENGINES),
 )
-def test_litmus_gallery_identity(name, model, engine):
+def test_litmus_gallery_identity(name, model):
     module = _litmus_module(name)
-    sleep = check_module(module, model=model, por="sleep", engine=engine,
-                         **BOUNDS)
-    dpor = check_module(module, model=model, por="dpor", engine=engine,
-                        **BOUNDS)
-    assert _signature(sleep) == _signature(dpor)
+    sleep = check_module(module, model=model, por="sleep", **BOUNDS)
+    result = check_module(module, model=model, por="dpor", **BOUNDS)
+    assert _signature(sleep) == _signature(result)
     # The gallery's expected verdicts double as an absolute anchor, so
     # a bug shared by both backends cannot hide behind the identity.
     _source, expected = LITMUS_TESTS[name]
-    assert dpor.ok == expected[model]
+    assert result.ok == expected[model]
 
 
 @st.composite
@@ -98,31 +104,83 @@ def test_weakened_random_orders_identity(variant, model):
     name, overrides = variant
     sleep = run_weakened_litmus(name, overrides, model, por="sleep",
                                 **BOUNDS)
-    dpor = run_weakened_litmus(name, overrides, model, por="dpor",
-                               **BOUNDS)
-    assert _signature(sleep) == _signature(dpor), (name, model, overrides)
+    result = run_weakened_litmus(name, overrides, model, por="dpor",
+                                 **BOUNDS)
+    assert _signature(sleep) == _signature(result), (name, model, overrides)
+
+
+def _clock_table(state):
+    return dict(state.clocks)
+
+
+def _canonical(state):
+    return state.canonical()
+
+
+@contextlib.contextmanager
+def _reverts_checked(snapshot=_clock_table):
+    """Assert that every DPOR revert restores the node's ``snapshot``.
+
+    Takes ``snapshot(state)`` when a node opens (keyed by its journal
+    mark: marks strictly grow along a path, since every event journals
+    its clock writes) and compares after each ``revert(..., node.mark)``.
+    Yields the list of checked reverts.
+    """
+    real_digest, real_revert = dpor.state_digest, dpor.revert
+    current = []   # the explored state (one object, mutated in place)
+    opened = {}    # node mark -> clock table when the node opened
+    checked = []
+
+    def digest(state, interner):
+        # open_node() always follows a digest of the state it opens.
+        current[:] = [state]
+        return real_digest(state, interner)
+
+    class Node(dpor._Node):
+        def __init__(self, mark, *args, **kwargs):
+            super().__init__(mark, *args, **kwargs)
+            opened[mark] = snapshot(current[0])
+
+    def revert(state, journal, mark):
+        real_revert(state, journal, mark)
+        assert snapshot(state) == opened[mark], (
+            f"{snapshot.__name__} not restored at journal mark {mark}")
+        checked.append(mark)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dpor, "state_digest", digest)
+        patch.setattr(dpor, "_Node", Node)
+        patch.setattr(dpor, "revert", revert)
+        yield checked
+
+
+def _check_gallery_reverts(snapshot):
+    total = 0
+    for name in sorted(LITMUS_TESTS):
+        _source, expected = LITMUS_TESTS[name]
+        for model in MODELS:
+            with _reverts_checked(snapshot) as checked:
+                result = check_module(_litmus_module(name), model=model,
+                                      por="dpor", **BOUNDS)
+            assert result.ok == expected[model], (name, model)
+            total += len(checked)
+    assert total > 0, "no DPOR revert was exercised"
+
+
+def test_dpor_clock_reverts_on_litmus_gallery():
+    _check_gallery_reverts(_clock_table)
+
+
+def test_dpor_state_reverts_on_litmus_gallery():
+    _check_gallery_reverts(_canonical)
 
 
 @settings(max_examples=25, deadline=None)
 @given(variant=weakened_variants(), model=st.sampled_from(MODELS))
-def test_dpor_engines_agree_on_random_orders(variant, model):
-    """Clock-table journaling: in-place DPOR == clone DPOR, counts too."""
+def test_dpor_clock_reverts_on_random_orders(variant, model):
     name, overrides = variant
-    results = [
-        run_weakened_litmus(name, overrides, model, por="dpor",
-                            engine=engine, **BOUNDS)
-        for engine in ENGINES
-    ]
-    reference = results[0]
-    for result in results[1:]:
-        assert _signature(result) == _signature(reference)
-        assert result.states_explored == reference.states_explored
-        assert (result.stats.states_visited
-                == reference.stats.states_visited)
-        assert (result.stats.races_detected
-                == reference.stats.races_detected)
-        assert (result.stats.backtrack_points
-                == reference.stats.backtrack_points)
+    with _reverts_checked():
+        run_weakened_litmus(name, overrides, model, por="dpor", **BOUNDS)
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,5 +196,5 @@ def test_dpor_matches_unreduced_enumeration(name, model):
     module = _litmus_module(name)
     full = check_module(module, model=model, por="none", macro="off",
                         **BOUNDS)
-    dpor = check_module(module, model=model, por="dpor", **BOUNDS)
-    assert _signature(full) == _signature(dpor)
+    result = check_module(module, model=model, por="dpor", **BOUNDS)
+    assert _signature(full) == _signature(result)

@@ -1,6 +1,6 @@
-"""Property tests: the fast-state engine is bit-identical to the clone path.
+"""Property tests: the explorer's undo-log state is bit-identical to clones.
 
-Three guarantees underpin the in-place explorer (DESIGN.md §6f), and
+Three guarantees underpin the explorer's substrate (DESIGN.md §6f), and
 each is asserted here over random walks through the litmus gallery:
 
 - **Encoding fidelity.**  The compact byte encoding + incremental
@@ -18,7 +18,7 @@ each is asserted here over random walks through the litmus gallery:
   clone's canonical form and digest exactly.
 
 The walks drive the real :class:`Machine` with a journal installed —
-the same configuration the in-place engine runs — so every journal
+the same configuration the explorer runs — so every journal
 opcode reachable from the gallery programs is exercised.
 """
 

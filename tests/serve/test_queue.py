@@ -1,5 +1,7 @@
 """JobDaemon: execution, dedup, priority, cancel, drain, failures."""
 
+import re
+
 import pytest
 
 from repro.api import compile_source, port_module
@@ -81,6 +83,15 @@ def test_execute_rejects_unknown_options(port_payload):
         execute_payload("port", port_payload(options={"bogus": 1}))
 
 
+def test_execute_rejects_retired_engine_option(port_payload):
+    """There is one exploration engine: a job still naming one is a
+    bad request, not a silently ignored knob."""
+    for kind in ("check", "optimize"):
+        with pytest.raises(ValueError, match="unknown options: engine"):
+            execute_payload(kind, port_payload(
+                options={"engine": "clone", "max_steps": 400}))
+
+
 def test_execute_emits_stage_events(port_payload):
     events = []
     execute_payload(
@@ -138,6 +149,19 @@ def test_daemon_marks_broken_source_failed(daemon, port_payload):
     # A failed job must never satisfy a later identical submission.
     again = daemon.submit("port", port_payload(source=BROKEN_SOURCE))
     assert again["cache_hit"] is False
+
+
+def test_daemon_fails_deep_nesting_with_located_error(daemon, port_payload):
+    depth = 80
+    source = ("int main() { int x; x = " + "(" * depth + "1"
+              + ")" * depth + "; return x; }")
+    record = daemon.submit("port", port_payload(source=source))
+    final = daemon.wait(record["id"], timeout=60)
+    assert final["state"] == "failed"
+    assert "ParseError" in final["error"]
+    assert re.search(r"\b1:\d+: nesting too deep", final["error"])
+    assert not any("RecursionError" in event.get("text", "")
+                   for event in final["events"])
 
 
 def test_daemon_rejects_bad_submissions(daemon, port_payload):
