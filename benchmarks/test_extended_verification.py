@@ -6,7 +6,7 @@ motivating scenario (a DPDK-style ring silently broken by an Arm
 recompile) and a case that is broken *even on TSO* (fence-less
 Peterson), which porting alone cannot and should not "fix".
 
-The 15 checks run through the parallel harness; ``ATOMIG_JOBS=N`` in
+The 15 checks run through the batch runner; ``ATOMIG_JOBS=N`` in
 the environment fans them across N worker processes (CI and local runs
 default to sequential, which is bit-identical).
 """
@@ -14,7 +14,8 @@ default to sequential, which is bit-identical).
 import os
 
 from repro.bench.programs import classic_locks
-from repro.mc.parallel import CheckTask, run_tasks
+from repro.core.workers import run_batch
+from repro.mc.parallel import CheckTask, run_task
 
 
 CASES = {
@@ -47,7 +48,7 @@ def test_extended_verification(benchmark, record_table):
             for name, (builder, *_expected) in CASES.items()
             for model, level in _MATRIX
         ]
-        results = iter(run_tasks(tasks, jobs=jobs))
+        results = iter(run_batch(run_task, tasks, jobs=jobs))
         return [
             (name, next(results), next(results), next(results),
              tso_ok, wmm_ok, fixed_ok)

@@ -28,6 +28,8 @@ IR of the same port done in-process, byte for byte.
 
 import json
 import os
+import platform
+import subprocess
 import time
 
 import pytest
@@ -37,8 +39,10 @@ from repro.bench.corpus import BENCHMARKS
 from repro.bench.synth import PAPER_TABLE3, generate_codebase
 from repro.bench.tables import ALIAS_BENCHMARKS, TABLE2_BENCHMARKS, table3
 from repro.core.config import PortingLevel
-from repro.core.parallel import PortTask, run_port_tasks
+from repro import modcache
+from repro.core.parallel import PortTask, run_port_task
 from repro.core.profile import STAGE_ORDER
+from repro.core.workers import run_batch
 from repro.ir.printer import print_module
 
 SCALE = 100
@@ -127,8 +131,8 @@ def identity_results():
             tasks.append(PortTask(
                 name=name, source=source, level=level, emit_ir=True,
             ))
-    serial_out = run_port_tasks(tasks, jobs=None)
-    parallel_out = run_port_tasks(tasks, jobs=JOBS)
+    serial_out = run_batch(run_port_task, tasks, jobs=None)
+    parallel_out = run_batch(run_port_task, tasks, jobs=JOBS)
     return {
         (task.name, task.level): {
             "inline": inline[(task.name, task.level)],
@@ -137,6 +141,18 @@ def identity_results():
         }
         for task, serial, parallel in zip(tasks, serial_out, parallel_out)
     }
+
+
+def _git_rev():
+    """HEAD of the checkout measured, or None outside a git tree."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def test_static_columns_identical(serial_run, parallel_run):
@@ -198,6 +214,13 @@ def test_bench_port_json_regenerated(serial_run, parallel_run,
     speedup = _speedup(serial_seconds, parallel_seconds)
     floor, enforced = _active_floor()
     payload = {
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "git_rev": _git_rev(),
+            # Identifies the measured sources when the tree is dirty.
+            "code_fingerprint": modcache.code_fingerprint(),
+        },
         "scale": SCALE,
         "jobs": JOBS,
         "cpu_count": os.cpu_count(),

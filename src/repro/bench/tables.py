@@ -77,7 +77,8 @@ def table2(max_steps=600, max_states=400_000, jobs=None,
     then read 0); the default keeps it off so the table reports true
     exploration sizes.
     """
-    from repro.mc.parallel import CheckTask, run_tasks
+    from repro.core.workers import run_batch
+    from repro.mc.parallel import CheckTask, run_task
 
     robustness = False if robustness is None else robustness
     tasks = [
@@ -89,7 +90,7 @@ def table2(max_steps=600, max_states=400_000, jobs=None,
         for name in TABLE2_BENCHMARKS
         for _level_name, level in _TABLE2_LEVELS
     ]
-    results = iter(run_tasks(tasks, jobs=jobs))
+    results = iter(run_batch(run_task, tasks, jobs=jobs))
     rows = []
     for name in TABLE2_BENCHMARKS:
         row = {"benchmark": name}
@@ -126,7 +127,8 @@ def table_lint(benchmarks=LINT_BENCHMARKS, max_steps=4000,
     """
     from repro.core.config import AtoMigConfig
     from repro.core.report import count_barriers
-    from repro.mc.parallel import CheckTask, run_tasks
+    from repro.core.workers import run_batch
+    from repro.mc.parallel import CheckTask, run_task
 
     tasks = [
         CheckTask(
@@ -136,7 +138,7 @@ def table_lint(benchmarks=LINT_BENCHMARKS, max_steps=4000,
         )
         for name in benchmarks
     ]
-    results = run_tasks(tasks, jobs=jobs)
+    results = run_batch(run_task, tasks, jobs=jobs)
     rows = []
     for name, result in zip(benchmarks, results):
         benchmark = BENCHMARKS[name]
@@ -188,7 +190,8 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
     across worker processes.
     """
     from repro.core.config import AtoMigConfig
-    from repro.mc.parallel import CheckTask, run_tasks
+    from repro.core.workers import run_batch
+    from repro.mc.parallel import CheckTask, run_task
 
     modes = ("type_based", "points_to")
     tasks = [
@@ -201,7 +204,7 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
         for name in benchmarks
         for mode in modes
     ]
-    results = iter(run_tasks(tasks, jobs=jobs))
+    results = iter(run_batch(run_task, tasks, jobs=jobs))
     rows = []
     for name in benchmarks:
         module = compile_source(BENCHMARKS[name].mc_source(), name)
@@ -241,64 +244,65 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
 def table3(scale=100, seed=0, jobs=None, frontend_cache=None, profile=False):
     """Static statistics of the density-matched synthetic code bases.
 
-    ``jobs`` fans the per-(application, level) ports across worker
-    processes; each worker times its own build and port, so the
-    build/port ratios stay honest under parallelism.
+    ``jobs`` fans the per-application jobs across worker processes;
+    each worker times its own build and port, so the build/port ratios
+    stay honest under parallelism.
     ``frontend_cache`` overrides the on-disk parsed-module cache
     (None = honor ``ATOMIG_FRONTEND_CACHE``) — leave it off when the
     ``build_ratio`` column must reflect real frontend cost.
     ``profile`` attaches the merged per-stage pipeline profile to each
     row under the non-column ``"_stats"`` key.
     """
-    if jobs is not None and jobs > 1:
-        return _table3_parallel(scale, seed, jobs, frontend_cache, profile)
-    rows = []
-    for app_name, app_profile in PAPER_TABLE3.items():
-        source = generate_codebase(app_name, scale=scale, seed=seed)
-        sloc = source.count("\n")
+    from repro.core.workers import run_batch
 
-        started = time.perf_counter()
-        module = compile_source(source, app_name, cache=frontend_cache)
-        build_seconds = time.perf_counter() - started
-
-        orig_expl, orig_impl = count_barriers(module)
-
-        started = time.perf_counter()
-        ported, report = port_module(module, PortingLevel.ATOMIG)
-        atomig_seconds = build_seconds + (time.perf_counter() - started)
-        port_expl, port_impl = count_barriers(ported)
-
-        naive, naive_report = port_module(module, PortingLevel.NAIVE)
-        _n_expl, naive_impl = count_barriers(naive)
-
-        row = _table3_row(
-            app_name, app_profile, sloc, build_seconds, atomig_seconds,
-            report, (orig_expl, orig_impl), (port_expl, port_impl),
-            naive_impl,
-        )
-        if profile:
-            row["_stats"] = _merged_stats(report, naive_report)
-        rows.append(row)
-    return rows
+    tasks = [
+        (app_name, scale, seed, frontend_cache, profile)
+        for app_name in PAPER_TABLE3
+    ]
+    return run_batch(_table3_app, tasks, jobs=jobs)
 
 
-def _table3_row(app_name, app_profile, sloc, build_seconds, atomig_seconds,
-                report, orig_barriers, atomig_barriers, naive_impl):
-    return {
+def _table3_app(task):
+    """One Table 3 row: generate, compile once, port to AtoMig and Naive.
+
+    Top-level so it pickles; the source is generated inside the worker
+    (milliseconds) instead of shipping megabytes through the pool.
+    """
+    app_name, scale, seed, frontend_cache, profile = task
+    source = generate_codebase(app_name, scale=scale, seed=seed)
+
+    started = time.perf_counter()
+    module = compile_source(source, app_name, cache=frontend_cache)
+    build_seconds = time.perf_counter() - started
+
+    orig_expl, orig_impl = count_barriers(module)
+
+    started = time.perf_counter()
+    ported, report = port_module(module, PortingLevel.ATOMIG)
+    atomig_seconds = build_seconds + (time.perf_counter() - started)
+    port_expl, port_impl = count_barriers(ported)
+
+    naive, naive_report = port_module(module, PortingLevel.NAIVE)
+    _n_expl, naive_impl = count_barriers(naive)
+
+    row = {
         "application": app_name,
-        "sloc": sloc,
+        "sloc": source.count("\n"),
         "spinloops": report.num_spinloops,
         "optiloops": report.num_optimistic_loops,
         "build_seconds": build_seconds,
         "atomig_seconds": atomig_seconds,
         "build_ratio": atomig_seconds / build_seconds,
-        "orig_explicit": orig_barriers[0],
-        "orig_implicit": orig_barriers[1],
-        "atomig_explicit": atomig_barriers[0],
-        "atomig_implicit": atomig_barriers[1],
+        "orig_explicit": orig_expl,
+        "orig_implicit": orig_impl,
+        "atomig_explicit": port_expl,
+        "atomig_implicit": port_impl,
         "naive_implicit": naive_impl,
-        "paper": app_profile,
+        "paper": PAPER_TABLE3[app_name],
     }
+    if profile:
+        row["_stats"] = _merged_stats(report, naive_report)
+    return row
 
 
 def _merged_stats(*reports):
@@ -310,43 +314,6 @@ def _merged_stats(*reports):
         if report is not None:
             merged.merge(report.stats)
     return merged.to_dict()
-
-
-def _table3_parallel(scale, seed, jobs, frontend_cache, profile):
-    """Per-(application, level) port jobs on a process pool."""
-    from repro.core.parallel import PortTask, run_port_tasks
-
-    apps = list(PAPER_TABLE3.items())
-    tasks = [
-        PortTask(
-            name=app_name, synth=(app_name, scale, seed), level=level,
-            frontend_cache=frontend_cache,
-        )
-        for app_name, _profile in apps
-        for level in ("atomig", "naive")
-    ]
-    outcomes = iter(run_port_tasks(tasks, jobs=jobs))
-    rows = []
-    for app_name, app_profile in apps:
-        atomig_out = next(outcomes)
-        naive_out = next(outcomes)
-        report = atomig_out.report
-        # Generation is milliseconds; regenerate for the sloc column
-        # instead of shipping megabytes of source through the pool.
-        sloc = generate_codebase(app_name, scale=scale, seed=seed).count("\n")
-        build_seconds = atomig_out.build_seconds
-        atomig_seconds = build_seconds + atomig_out.port_seconds
-        row = _table3_row(
-            app_name, app_profile, sloc, build_seconds, atomig_seconds,
-            report,
-            (report.original_explicit_barriers,
-             report.original_implicit_barriers),
-            atomig_out.barriers, naive_out.barriers[1],
-        )
-        if profile:
-            row["_stats"] = _merged_stats(report, naive_out.report)
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -396,52 +363,23 @@ def _mean_cycles(module, seeds=PERF_SEEDS):
     return total / len(seeds)
 
 
-def _baseline_module(benchmark, name):
-    """The paper's 'original': the expert WMM port when one exists,
-    otherwise the TSO sources compiled as-is (CLHT footnote '+')."""
-    if benchmark.expert_source is not None:
-        return compile_source(benchmark.expert_source(), f"{name}.expert")
-    return compile_source(benchmark.perf_source(), f"{name}.orig")
+def _outcome_cycles(outcome):
+    """Mean modeled cycles of a :class:`PortOutcome` over its seeds."""
+    return sum(outcome.cycles) / len(outcome.cycles)
 
 
 def table5(benchmarks=TABLE5_BENCHMARKS, seeds=PERF_SEEDS, jobs=None,
            profile=False):
     """Measured Naive and AtoMig slowdowns vs the original binaries.
 
+    The paper's 'original' is the expert WMM port when one exists,
+    otherwise the TSO sources compiled as-is (CLHT footnote '+').
     ``jobs`` fans the per-(benchmark, variant) port+run jobs across
     worker processes; the VM is deterministic per seed, so the ratios
-    are identical to the serial path's.
+    do not depend on it.
     """
-    if jobs is not None and jobs > 1:
-        return _table5_parallel(benchmarks, seeds, jobs, profile)
-    rows = []
-    for name in benchmarks:
-        benchmark = BENCHMARKS[name]
-        tso_module = compile_source(benchmark.perf_source(), name)
-        baseline = _baseline_module(benchmark, name)
-        base_cycles = _mean_cycles(baseline, seeds)
-
-        naive, naive_report = port_module(tso_module, PortingLevel.NAIVE)
-        atomig, atomig_report = port_module(tso_module, PortingLevel.ATOMIG)
-        naive_cycles = _mean_cycles(naive, seeds)
-        atomig_cycles = _mean_cycles(atomig, seeds)
-
-        row = {
-            "benchmark": name,
-            "naive": naive_cycles / base_cycles,
-            "atomig": atomig_cycles / base_cycles,
-            "paper_naive": benchmark.paper_naive,
-            "paper_atomig": benchmark.paper_atomig,
-        }
-        if profile:
-            row["_stats"] = _merged_stats(naive_report, atomig_report)
-        rows.append(row)
-    return rows
-
-
-def _table5_parallel(benchmarks, seeds, jobs, profile):
-    """Per-(benchmark, variant) port+run jobs on a process pool."""
-    from repro.core.parallel import PortTask, run_port_tasks
+    from repro.core.parallel import PortTask, run_port_task
+    from repro.core.workers import run_batch
 
     seeds = tuple(seeds)
     tasks = []
@@ -459,18 +397,18 @@ def _table5_parallel(benchmarks, seeds, jobs, profile):
             tasks.append(PortTask(
                 name=name, source=perf_source, level=level, run_seeds=seeds,
             ))
-    outcomes = iter(run_port_tasks(tasks, jobs=jobs))
+    outcomes = iter(run_batch(run_port_task, tasks, jobs=jobs))
     rows = []
     for name in benchmarks:
         benchmark = BENCHMARKS[name]
         base_out, naive_out, atomig_out = (
             next(outcomes), next(outcomes), next(outcomes)
         )
-        base_cycles = sum(base_out.cycles) / len(base_out.cycles)
+        base_cycles = _outcome_cycles(base_out)
         row = {
             "benchmark": name,
-            "naive": (sum(naive_out.cycles) / len(seeds)) / base_cycles,
-            "atomig": (sum(atomig_out.cycles) / len(seeds)) / base_cycles,
+            "naive": _outcome_cycles(naive_out) / base_cycles,
+            "atomig": _outcome_cycles(atomig_out) / base_cycles,
             "paper_naive": benchmark.paper_naive,
             "paper_atomig": benchmark.paper_atomig,
         }
@@ -492,69 +430,42 @@ def table6(jobs=None, profile=False):
 
     ``jobs`` fans the per-(kernel, variant) port+run jobs across
     worker processes; the VM is deterministic per seed, so the ratios
-    are identical to the serial path's.
+    do not depend on it.
     """
+    from repro.core.parallel import PortTask, run_port_task
+    from repro.core.workers import run_batch
+
     levels = ("naive", "lasagne", "atomig")
     rows = []
     ratios = {level: [] for level in levels}
 
-    if jobs is not None and jobs > 1:
-        from repro.core.parallel import PortTask, run_port_tasks
-
-        tasks = []
-        for kernel in PHOENIX_PAPER_NUMBERS:
-            source = BENCHMARKS[f"phoenix_{kernel}"].perf_source()
-            tasks.append(PortTask(
-                name=kernel, source=source, run_seeds=PERF_SEEDS,
-            ))
-            tasks += [
-                PortTask(
-                    name=kernel, source=source, level=level,
-                    run_seeds=PERF_SEEDS,
-                )
-                for level in levels
-            ]
-        outcomes = iter(run_port_tasks(tasks, jobs=jobs))
-        for kernel, paper in PHOENIX_PAPER_NUMBERS.items():
-            base_out = next(outcomes)
-            base_cycles = sum(base_out.cycles) / len(base_out.cycles)
-            row = {"benchmark": kernel,
-                   "paper_naive": paper[0],
-                   "paper_lasagne": paper[1],
-                   "paper_atomig": paper[2]}
-            reports = []
-            for level in levels:
-                out = next(outcomes)
-                reports.append(out.report)
-                ratio = (sum(out.cycles) / len(out.cycles)) / base_cycles
-                row[level] = ratio
-                ratios[level].append(ratio)
-            if profile:
-                row["_stats"] = _merged_stats(*reports)
-            rows.append(row)
-    else:
-        for kernel, paper in PHOENIX_PAPER_NUMBERS.items():
-            benchmark = BENCHMARKS[f"phoenix_{kernel}"]
-            module = compile_source(benchmark.perf_source(), kernel)
-            base_cycles = _mean_cycles(module)
-            row = {"benchmark": kernel,
-                   "paper_naive": paper[0],
-                   "paper_lasagne": paper[1],
-                   "paper_atomig": paper[2]}
-            reports = []
-            for level_name, level in (
-                ("naive", PortingLevel.NAIVE),
-                ("lasagne", PortingLevel.LASAGNE),
-                ("atomig", PortingLevel.ATOMIG),
-            ):
-                ported, report = port_module(module, level)
-                reports.append(report)
-                ratio = _mean_cycles(ported) / base_cycles
-                row[level_name] = ratio
-                ratios[level_name].append(ratio)
-            if profile:
-                row["_stats"] = _merged_stats(*reports)
-            rows.append(row)
+    tasks = []
+    for kernel in PHOENIX_PAPER_NUMBERS:
+        source = BENCHMARKS[f"phoenix_{kernel}"].perf_source()
+        tasks += [
+            PortTask(
+                name=kernel, source=source, level=level,
+                run_seeds=PERF_SEEDS,
+            )
+            for level in (None, *levels)
+        ]
+    outcomes = iter(run_batch(run_port_task, tasks, jobs=jobs))
+    for kernel, paper in PHOENIX_PAPER_NUMBERS.items():
+        base_cycles = _outcome_cycles(next(outcomes))
+        row = {"benchmark": kernel,
+               "paper_naive": paper[0],
+               "paper_lasagne": paper[1],
+               "paper_atomig": paper[2]}
+        reports = []
+        for level in levels:
+            out = next(outcomes)
+            reports.append(out.report)
+            ratio = _outcome_cycles(out) / base_cycles
+            row[level] = ratio
+            ratios[level].append(ratio)
+        if profile:
+            row["_stats"] = _merged_stats(*reports)
+        rows.append(row)
 
     geomean_row = {"benchmark": "geometric mean",
                    "paper_naive": 1.39, "paper_lasagne": 1.73,
@@ -591,7 +502,8 @@ def table9(benchmarks=TABLE9_BENCHMARKS, max_steps=2500,
     query to explore); either way the cost columns are identical —
     the fast path only answers queries it can prove.
     """
-    from repro.opt.parallel import OptimizeTask, run_optimize_tasks
+    from repro.core.workers import run_batch
+    from repro.opt.parallel import OptimizeTask, run_optimize_task
 
     robustness = True if robustness is None else robustness
     tasks = [
@@ -602,7 +514,7 @@ def table9(benchmarks=TABLE9_BENCHMARKS, max_steps=2500,
         )
         for name in benchmarks
     ]
-    reports = run_optimize_tasks(tasks, jobs=jobs)
+    reports = run_batch(run_optimize_task, tasks, jobs=jobs)
     rows = []
     for name, report in zip(benchmarks, reports):
         before = report["barrier_cost_before"]
@@ -659,7 +571,8 @@ def table10(benchmarks=TABLE10_BENCHMARKS, arches=TABLE10_ARCHES,
     milliseconds).
     """
     from repro.analysis.repair import resynthesize_ported
-    from repro.opt.parallel import OptimizeTask, run_optimize_tasks
+    from repro.core.workers import run_batch
+    from repro.opt.parallel import OptimizeTask, run_optimize_task
 
     tasks = [
         OptimizeTask(
@@ -669,7 +582,7 @@ def table10(benchmarks=TABLE10_BENCHMARKS, arches=TABLE10_ARCHES,
         )
         for name in benchmarks for arch in arches
     ]
-    reports = run_optimize_tasks(tasks, jobs=jobs)
+    reports = run_batch(run_optimize_task, tasks, jobs=jobs)
     rows = []
     for position, name in enumerate(benchmarks):
         ported, _report = port_module(

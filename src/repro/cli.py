@@ -35,7 +35,6 @@ import json
 import sys
 
 from repro.api import (
-    check_module,
     compile_source,
     lint_module,
     port_module,
@@ -248,37 +247,25 @@ def cmd_optimize(args):
 
 def _check_results(args):
     """Run one check per requested model, possibly on a process pool."""
+    from repro.core.workers import run_batch
+    from repro.mc.parallel import CheckTask, run_task
+
     # --repair needs the porting pipeline even at level original (the
     # repair stage lives there).
     needs_port = args.level != "original" or args.repair
-    if args.jobs and args.jobs > 1:
-        from repro.mc.parallel import CheckTask, run_tasks
-
-        with open(args.file) as handle:
-            source = handle.read()
-        tasks = [
-            CheckTask(
-                name=args.file, source=source, model=model,
-                level=args.level if needs_port else None,
-                max_steps=args.max_steps, por=args.por, macro=args.macro,
-                config=_build_config(args), is_ir=args.file.endswith(".ir"),
-                robustness=args.robustness,
-            )
-            for model in args.models
-        ]
-        return zip(args.models, run_tasks(tasks, jobs=args.jobs))
-    module = _load(args.file)
-    if needs_port:
-        module, _report = port_module(
-            module, _LEVELS[args.level], config=_build_config(args)
+    with open(args.file) as handle:
+        source = handle.read()
+    tasks = [
+        CheckTask(
+            name=args.file, source=source, model=model,
+            level=args.level if needs_port else None,
+            max_steps=args.max_steps, por=args.por, macro=args.macro,
+            config=_build_config(args), is_ir=args.file.endswith(".ir"),
+            robustness=args.robustness,
         )
-    return (
-        (model, check_module(
-            module, model=model, max_steps=args.max_steps, por=args.por,
-            macro=args.macro, robustness=args.robustness,
-        ))
         for model in args.models
-    )
+    ]
+    return zip(args.models, run_batch(run_task, tasks, jobs=args.jobs))
 
 
 def cmd_check(args):

@@ -11,7 +11,7 @@ Threads, not processes: the workers mutate live IR objects in place,
 which cannot cross a process boundary.  Under CPython's GIL this is a
 modest win (the analyses are pure Python), so the pipeline default is
 ``jobs=1`` — process-level parallelism across *ports* is where the
-real speedup lives (:mod:`repro.core.parallel`).
+real speedup lives (:func:`repro.core.workers.run_batch`).
 
 Memoized analyses shared between workers (``AnalysisCache``) are safe
 here: dict get/set are atomic under the GIL, and a lost race merely
@@ -20,11 +20,13 @@ recomputes a per-function analysis once.
 
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.core.workers import pooled
+
 
 def map_items(items, worker, jobs=1):
     """Apply ``worker`` to every item; results in input order."""
     items = list(items)
-    if jobs is None or jobs <= 1 or len(items) <= 1:
+    if not pooled(items, jobs):
         return [worker(item) for item in items]
     with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         # executor.map preserves input order, so the caller's merge

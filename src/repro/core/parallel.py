@@ -1,24 +1,21 @@
-"""Parallel porting harness: fan independent port jobs across cores.
+"""Port jobs as picklable tasks (Tables 3/5/6, serve ``port`` jobs).
 
-The Table 3/5/6 harnesses and ``atomig tables --jobs`` are batches of
-*independent* (module, level) ports — different applications, different
-porting levels, disjoint cloned modules — so they parallelize
-embarrassingly, exactly like the model-checking batches of
-:mod:`repro.mc.parallel`.  A :class:`PortTask` is a picklable
-description of one job; :func:`run_port_tasks` executes a batch either
-sequentially (``jobs`` unset or 1, the deterministic default) or on a
-``multiprocessing`` pool.
+The Table 5/6 harnesses and multi-module serve jobs are batches of
+*independent* (module, level) ports — different applications,
+different porting levels, disjoint cloned modules.  A :class:`PortTask`
+is a picklable description of one job and :func:`run_port_task` its
+top-level worker; :func:`repro.core.workers.run_batch` runs a batch of
+them in-process or on a persistent pool.
 
-Tasks carry source text (or a synthetic-codebase spec) rather than IR
-modules, so the same task list works under both the ``fork`` and
-``spawn`` start methods; each worker compiles — or pulls from the
-frontend cache (:mod:`repro.modcache`) — inside its own process and
-times its own build and port, keeping per-row build/port ratios honest
-under parallelism.  Outcomes return :class:`PortingReport` objects
-(picklable, including their per-stage profile) instead of live IR;
-callers that need the ported IR itself request ``emit_ir`` and get the
-printed text, which doubles as the bit-identity witness in the
-serial-vs-parallel CI check.
+Tasks carry source text rather than IR modules, so the same task list
+works under both the ``fork`` and ``spawn`` start methods; each worker
+compiles — or pulls from the frontend cache (:mod:`repro.modcache`) —
+inside its own process and times its own build and port, keeping
+per-row build/port ratios honest under parallelism.  Outcomes return
+:class:`PortingReport` objects (picklable, including their per-stage
+profile) instead of live IR; callers that need the ported IR itself
+request ``emit_ir`` and get the printed text, which doubles as the
+bit-identity witness in the serial-vs-parallel CI check.
 """
 
 from dataclasses import dataclass
@@ -30,12 +27,8 @@ class PortTask:
 
     #: Module name (also the compile name; diagnostics).
     name: str
-    #: Mini-C source text; ``None`` when ``synth`` supplies it.
+    #: Mini-C source text.
     source: str = None
-    #: (app_name, scale, seed) generating the source via
-    #: :func:`repro.bench.synth.generate_codebase` — cheaper to pickle
-    #: than a multi-megabyte synthetic source text.
-    synth: tuple = None
     #: PortingLevel value ("original", ..., "atomig"), or ``None`` to
     #: just compile and count barriers.
     level: str = None
@@ -83,15 +76,8 @@ def run_port_task(task):
     from repro.core.config import PortingLevel
     from repro.core.report import count_barriers
 
-    source = task.source
-    if source is None:
-        from repro.bench.synth import generate_codebase
-
-        app_name, scale, seed = task.synth
-        source = generate_codebase(app_name, scale=scale, seed=seed)
-
     started = time.perf_counter()
-    module = compile_source(source, task.name, cache=task.frontend_cache)
+    module = compile_source(task.source, task.name, cache=task.frontend_cache)
     build_seconds = time.perf_counter() - started
 
     ported = module
@@ -120,26 +106,3 @@ def run_port_task(task):
         outcome.ir_text = print_module(ported)
     return outcome
 
-
-def run_port_tasks(tasks, jobs=None):
-    """Run a batch of port tasks; results align with the input order.
-
-    ``jobs=None`` or ``jobs<=1`` runs sequentially in-process.  Larger
-    values use the persistent pool for that worker count
-    (:func:`repro.core.workers.get_pool`): forked once per process
-    lifetime and reused across batches, so a sweep that ports every
-    application at every level pays pool setup exactly once, and
-    per-worker busy time lands in the pool's ``worker_stats`` (surfaced
-    by the BENCH_port harness).
-
-    ``chunksize=1``: tasks are few and lumpy (a mariadb-sized port must
-    not strand a prefetched batch of small ones behind it).
-    """
-    tasks = list(tasks)
-    if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        return [run_port_task(task) for task in tasks]
-
-    from repro.core.workers import get_pool
-
-    pool = get_pool(jobs)
-    return pool.map(run_port_task, tasks, chunksize=1)

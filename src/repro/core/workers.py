@@ -1,56 +1,57 @@
-"""Persistent worker pools with seeded module caches (DESIGN.md §6f).
+"""One batch runner over persistent worker pools (DESIGN.md §6f).
 
-The batch harnesses (:mod:`repro.mc.parallel`, :mod:`repro.core.parallel`,
-the optimizer's bisection probes) used to build a fresh
-``multiprocessing.Pool`` per call: the Oracle's half-probing pays pool
-setup for every bisection round, and every worker recompiles sources it
-has already seen.  This module replaces that with three mechanisms:
+Every batch in the system — Table 2/3/5/6/8/9/10 rows, the
+optimizer's bisection probes, ``atomig check --jobs``, multi-module
+serve jobs — is a list of independent picklable tasks and a top-level
+worker function.  :func:`run_batch` is the one place that decides how
+such a batch runs:
 
-- **Persistent pools.**  :func:`get_pool` keeps one pool per worker
-  count alive for the whole process (closed via ``atexit``), so a
-  bisection loop that probes dozens of batches forks exactly once.
-- **Worker-side module caches.**  :func:`cached_module` memoizes
-  compiled/parsed modules by source digest inside each worker (and in
-  the serial in-process path).  Pools can additionally be *seeded*:
-  the initializer pre-compiles a list of sources once per worker, so a
-  sweep that checks the same program under ``sc``/``tso``/``wmm``
-  compiles it once, not once per (model, task).  Cache hits hand out
-  ``Module.clone()`` copies — the porting pipeline may mutate its
-  input, so the cached master is never exposed.
-- **Interned location keys + per-worker timing.**  Seeding interns the
-  module's global/function name strings (the location keys every
-  report row repeats), and every task runs through a timing wrapper;
-  :attr:`WorkerPool.worker_stats` maps worker pid to cumulative busy
-  seconds and task count, making pool skew visible to the perf
-  harnesses (``BENCH_port.json``).
+- **In process** when ``jobs`` is unset or ``<= 1``, or when there is at
+  most one task: a plain in-order loop in the calling thread (so
+  thread-local observers such as the serve daemon's stage events see
+  every pipeline boundary).  :func:`pooled` answers the same question
+  for callers that need to know in advance.
+- **On a persistent pool** otherwise.  :func:`get_pool` keeps one pool
+  per worker count alive for the whole process (closed via
+  ``atexit`` or :func:`shutdown_pools`), so a bisection loop that
+  probes dozens of batches forks exactly once.  Tasks are handed out
+  one at a time: batches are few and lumpy (a mariadb-sized port must
+  not strand a prefetched chunk of small ones behind it).
 
-The serial path (``jobs`` unset or 1) never touches multiprocessing:
-callers fall back to a plain in-process loop that still benefits from
-:func:`cached_module`.
+Workers memoize compiled/parsed modules by (source, name, kind)
+digest (:func:`cached_module`), in the pool and in-process alike.  Hits
+hand out ``Module.clone()`` copies — the porting pipeline may mutate
+its input, so the cached master is never exposed.  Every pooled task
+runs through a timing wrapper; :attr:`WorkerPool.worker_stats` maps
+worker pid to cumulative busy seconds and task count, making pool skew
+visible to the perf harnesses (``BENCH_port.json``) and ``GET /stats``.
 """
 
 import atexit
-import hashlib
 import os
-import sys
+import threading
 import time
 from functools import partial
 
 # -- worker-side state (one copy per worker process) ------------------------
 
-#: Sources the pool initializer compiled: digest -> master module.
-#: Never evicted — seeds are few and chosen by the caller.
-_SEEDED = {}
-#: Opportunistic memo for sources first seen inside a task.  Bounded:
-#: a long bisection streams thousands of one-shot variants through a
-#: worker, and caching them all would only grow memory.
+#: Memo of modules first seen inside a task: key -> master module.
+#: Bounded: a long bisection streams thousands of one-shot variants
+#: through a worker, and caching them all would only grow memory.
 _MEMO = {}
 _MEMO_LIMIT = 128
 
 
-def _source_key(source, is_ir):
-    tag = b"ir|" if is_ir else b"c|"
-    return hashlib.blake2b(tag + source.encode(), digest_size=16).digest()
+def _source_key(source, name, is_ir):
+    """Memo key: the frontend-cache digest of (source, name) plus kind.
+
+    The name is part of the key because a compiled module carries it
+    (reports and ``port_done`` events name the module): two modules
+    sharing a source must not share a master.
+    """
+    from repro.modcache import source_digest
+
+    return ("ir" if is_ir else "c", source_digest(source, name))
 
 
 def _compile(source, name, is_ir):
@@ -63,43 +64,16 @@ def _compile(source, name, is_ir):
     return compile_source(source, name)
 
 
-def _intern_location_keys(module):
-    """Intern the name strings repeated in every result row.
-
-    Global and function names are the "location keys" that reports,
-    access sets and barrier tables key on; interning them once per
-    worker makes every later comparison a pointer check and dedups the
-    copies a pickled result would otherwise carry.
-    """
-    for name in list(module.globals):
-        sys.intern(name)
-    for name in list(module.functions):
-        sys.intern(name)
-
-
-def seed_worker(seeds):
-    """Pool initializer: pre-compile ``(name, source, is_ir)`` triples."""
-    for name, source, is_ir in seeds:
-        key = _source_key(source, is_ir)
-        if key not in _SEEDED:
-            module = _compile(source, name, is_ir)
-            _intern_location_keys(module)
-            _SEEDED[key] = module
-
-
 def cached_module(source, name, is_ir=False):
-    """A private module for ``source``: cloned from this worker's cache.
+    """A private module for ``source``: cloned from this worker's memo.
 
-    Misses compile (or parse) and memoize; hits — seeded or memoized —
-    return ``Module.clone()`` so callers may mutate freely.
+    Misses compile (or parse) and memoize; hits return
+    ``Module.clone()`` so callers may mutate freely.
     """
-    key = _source_key(source, is_ir)
-    master = _SEEDED.get(key)
-    if master is None:
-        master = _MEMO.get(key)
+    key = _source_key(source, name, is_ir)
+    master = _MEMO.get(key)
     if master is None:
         master = _compile(source, name, is_ir)
-        _intern_location_keys(master)
         if len(_MEMO) >= _MEMO_LIMIT:
             _MEMO.clear()
         _MEMO[key] = master
@@ -119,7 +93,7 @@ def timed_call(worker, task):
 class WorkerPool:
     """A persistent process pool with per-worker accounting."""
 
-    def __init__(self, jobs, seeds=()):
+    def __init__(self, jobs):
         import multiprocessing
 
         try:
@@ -127,40 +101,27 @@ class WorkerPool:
         except ValueError:  # platforms without fork (e.g. Windows)
             context = multiprocessing.get_context("spawn")
         self.jobs = jobs
-        self._pool = context.Pool(
-            processes=jobs, initializer=seed_worker,
-            initargs=(tuple(seeds),),
-        )
+        self._pool = context.Pool(processes=jobs)
         #: pid -> {"tasks": int, "busy_seconds": float}
         self.worker_stats = {}
         self.batches = 0
 
-    def map(self, worker, tasks, chunksize=None):
-        """Run ``tasks`` through ``worker``; results keep input order.
-
-        ``chunksize=None`` shards the batch into ~4 chunks per worker —
-        large enough to amortize IPC, small enough that one slow shard
-        cannot strand a quarter of the batch.  Lumpy batches (a
-        mariadb-sized port among litmus rows) should pass
-        ``chunksize=1`` explicitly.
-        """
+    def map(self, worker, tasks):
+        """Run ``tasks`` through ``worker``; results keep input order."""
         tasks = list(tasks)
         if not tasks:
             return []
-        if chunksize is None:
-            chunksize = max(1, len(tasks) // (self.jobs * 4))
-        rows = self._pool.map(
-            partial(timed_call, worker), tasks, chunksize=chunksize
-        )
-        self.batches += 1
+        rows = self._pool.map(partial(timed_call, worker), tasks, chunksize=1)
         results = []
-        for pid, busy, result in rows:
-            stats = self.worker_stats.setdefault(
-                pid, {"tasks": 0, "busy_seconds": 0.0}
-            )
-            stats["tasks"] += 1
-            stats["busy_seconds"] += busy
-            results.append(result)
+        with _LOCK:
+            self.batches += 1
+            for pid, busy, result in rows:
+                stats = self.worker_stats.setdefault(
+                    pid, {"tasks": 0, "busy_seconds": 0.0}
+                )
+                stats["tasks"] += 1
+                stats["busy_seconds"] += busy
+                results.append(result)
         return results
 
     def close(self, terminate=False):
@@ -175,27 +136,54 @@ class WorkerPool:
 # -- persistent registry ----------------------------------------------------
 
 _POOLS = {}
+#: Guards :data:`_POOLS` and every pool's accounting: the serve daemon
+#: asks for pools and reads their stats from several threads at once.
+_LOCK = threading.Lock()
 
 
-def get_pool(jobs, seeds=()):
-    """The process-wide pool for ``jobs`` workers, created on first use.
+def get_pool(jobs):
+    """The process-wide pool for ``jobs`` workers, created on first use."""
+    with _LOCK:
+        pool = _POOLS.get(jobs)
+        if pool is None:
+            pool = _POOLS[jobs] = WorkerPool(jobs)
+        return pool
 
-    ``seeds`` only takes effect when this call creates the pool; later
-    callers share the existing workers (their own sources still get
-    memoized on first use via :func:`cached_module`).
+
+def pooled(tasks, jobs):
+    """True when :func:`run_batch` would fan ``tasks`` out to a pool."""
+    return jobs is not None and jobs > 1 and len(tasks) > 1
+
+
+def run_batch(worker, tasks, jobs=None):
+    """Run ``worker`` over ``tasks``; results align with the input order.
+
+    ``worker`` must be a picklable top-level callable whenever the
+    batch is :func:`pooled`; in-process batches may pass any callable.
     """
-    pool = _POOLS.get(jobs)
-    if pool is None:
-        pool = _POOLS[jobs] = WorkerPool(jobs, seeds=seeds)
-    return pool
+    tasks = list(tasks)
+    if not pooled(tasks, jobs):
+        return [worker(task) for task in tasks]
+    return get_pool(jobs).map(worker, tasks)
 
 
 def pool_stats():
-    """{jobs: {"batches": n, "workers": worker_stats}} for live pools."""
-    return {
-        jobs: {"batches": pool.batches, "workers": pool.worker_stats}
-        for jobs, pool in _POOLS.items()
-    }
+    """{jobs: {"batches": n, "workers": worker_stats}} for live pools.
+
+    A snapshot: the dicts are copies, safe to serialise while other
+    threads keep mapping batches.
+    """
+    with _LOCK:
+        return {
+            jobs: {
+                "batches": pool.batches,
+                "workers": {
+                    pid: dict(stats)
+                    for pid, stats in pool.worker_stats.items()
+                },
+            }
+            for jobs, pool in _POOLS.items()
+        }
 
 
 def shutdown_pools(terminate=False):
@@ -207,12 +195,14 @@ def shutdown_pools(terminate=False):
     ``terminate=True`` kills workers without draining in-flight tasks
     (the non-graceful shutdown).  Idempotent.
     """
-    for pool in _POOLS.values():
+    with _LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
         try:
             pool.close(terminate=terminate)
         except Exception:  # pragma: no cover - teardown best-effort
             pass
-    _POOLS.clear()
 
 
 atexit.register(shutdown_pools)

@@ -8,11 +8,11 @@ text, so the second compile of identical source is one unpickle.
 
 Invalidation rules:
 
-- the digest covers the source text, the module name, the cache format
-  version (:data:`CACHE_VERSION` — bump on any IR or frontend change
-  that alters compiled modules) and the running Python's
-  ``major.minor`` (pickles are not guaranteed portable across
-  versions);
+- the digest covers the source text, the module name, the
+  :func:`code_fingerprint` of the ``repro`` sources (any edit to the
+  frontend, IR or porter invalidates every entry — no hand-bumped
+  version tag to forget) and the running Python's ``major.minor``
+  (pickles are not guaranteed portable across versions);
 - a corrupt, truncated or unpicklable entry is treated as a miss and
   recompiled — the cache can be deleted at any time;
 - entries are written atomically (tempfile + rename) so concurrent
@@ -35,15 +35,12 @@ one-shot CLI runs but turns into a leak under a long-lived daemon
 (:mod:`repro.serve`), so the serve quickstart sets it.
 """
 
+import functools
 import hashlib
 import os
 import pickle
 import sys
 import tempfile
-
-#: Bump when compiled-module layout changes (new IR fields, frontend
-#: passes, lowering differences) to invalidate stale entries.
-CACHE_VERSION = 1
 
 _ENV_ENABLE = "ATOMIG_FRONTEND_CACHE"
 _ENV_DIR = "ATOMIG_CACHE_DIR"
@@ -66,12 +63,38 @@ def cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "atomig")
 
 
+@functools.cache
+def code_fingerprint():
+    """blake2b over every ``.py`` file of the ``repro`` package.
+
+    Computed once per process.  Mixed into :func:`source_digest`, so
+    both this cache and the serve daemon's dedup index
+    (:func:`repro.serve.queue.job_dedup_key`) are keyed on the code
+    that produced a result: a checkout with any changed source never
+    serves an entry the old code computed.
+    """
+    root = os.path.dirname(os.path.abspath(__file__))
+    paths = []
+    for directory, _subdirs, files in os.walk(root):
+        paths += [
+            os.path.join(directory, name)
+            for name in files if name.endswith(".py")
+        ]
+    hasher = hashlib.blake2b(digest_size=16)
+    for path in sorted(paths):
+        hasher.update(os.path.relpath(path, root).encode() + b"\0")
+        with open(path, "rb") as handle:
+            hasher.update(handle.read())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
 def source_digest(source, name="module"):
     """Stable cache key for one (source, module-name) compile."""
     hasher = hashlib.blake2b(digest_size=20)
     hasher.update(
-        f"v{CACHE_VERSION}:py{sys.version_info[0]}.{sys.version_info[1]}:"
-        f"{name}:".encode()
+        f"{code_fingerprint()}:py{sys.version_info[0]}."
+        f"{sys.version_info[1]}:{name}:".encode()
     )
     hasher.update(source.encode())
     return hasher.hexdigest()

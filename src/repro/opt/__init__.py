@@ -11,8 +11,9 @@ Entry points:
 
 - :func:`optimize_module` — optimize one IR module, returning the
   optimized clone and an :class:`OptimizationReport`.
-- :func:`repro.opt.parallel.run_optimize_tasks` — batch harness for
-  Table 9 (optimize the whole Table 2 corpus across cores).
+- :func:`repro.opt.parallel.run_optimize_task` — the batch worker for
+  Table 9 (optimize the whole Table 2 corpus across cores through
+  :func:`repro.core.workers.run_batch`).
 """
 
 from repro.opt.candidates import Candidate, enumerate_candidates

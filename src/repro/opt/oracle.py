@@ -30,15 +30,16 @@ Four mechanisms keep the oracle cheap enough to sit in a greedy loop:
   stays on, so each check only pays for the delta the new orders open.
 - **Parallel probes**: bisection halves are independent variants of
   the same base module; with ``jobs > 1`` they are printed to IR text
-  and fanned across the :mod:`repro.mc.parallel` pool as ``is_ir``
+  and fanned across the :mod:`repro.core.workers` pool as ``is_ir``
   check tasks.
 """
 
 import hashlib
 
+from repro.core.workers import run_batch
 from repro.ir.printer import print_module
 from repro.mc.explorer import check_module
-from repro.mc.parallel import CheckTask, run_tasks
+from repro.mc.parallel import CheckTask, run_task
 
 
 class Oracle:
@@ -159,7 +160,7 @@ class Oracle:
             # keyed by worker count, so a constant count means every
             # bisection round — whatever its batch size — reuses the
             # same persistent workers (and their module caches).
-            results = run_tasks(tasks, jobs=self.jobs)
+            results = run_batch(run_task, tasks, jobs=self.jobs)
             for (key, _text), result in zip(pending, results):
                 self.checks_run += 1
                 self.states_total += result.states_explored

@@ -1,19 +1,21 @@
-"""Batch harness: optimize many modules across cores (Table 9).
+"""Optimize and repair jobs as picklable tasks (Tables 9/10, serve).
 
 Mirrors :mod:`repro.mc.parallel`: an :class:`OptimizeTask` is a
-picklable description of one port-then-optimize job, and
-:func:`run_optimize_tasks` fans a batch over the same pool plumbing via
-``run_tasks(..., worker=run_optimize_task)``.  Each worker runs its own
+picklable description of one port-then-optimize job and
+:func:`run_optimize_task` its top-level worker; :class:`RepairTask` /
+:func:`run_repair_task` do the same for port-then-repair.  Batches run
+through :func:`repro.core.workers.run_batch`.  Each worker runs its own
 greedy loop sequentially — the parallelism that matters for Table 9 is
 across corpus rows, not within one module's bisection.
 
-Results are plain dicts (``OptimizationReport.to_dict()``) so they
-pickle under every multiprocessing start method.
+Results are plain dicts (``OptimizationReport.to_dict()`` /
+``RepairReport.to_dict()``) so they pickle under every multiprocessing
+start method.
 """
 
 from dataclasses import dataclass
 
-from repro.mc.parallel import run_tasks
+from repro.mc.parallel import task_module
 
 
 @dataclass(frozen=True)
@@ -53,20 +55,12 @@ def run_optimize_task(task):
     Top-level (not a closure) so it pickles under every multiprocessing
     start method.
     """
-    from repro.api import port_module
-    from repro.core.config import PortingLevel
-    from repro.core.workers import cached_module
     from repro.opt.weaken import optimize_module
     from repro.vm.costs import cost_model_for
 
-    module = cached_module(task.source, task.name, is_ir=task.is_ir)
-    if task.level is not None:
-        module, _report = port_module(
-            module, PortingLevel(task.level), config=task.config
-        )
     cost_model = cost_model_for(task.arch) if task.arch else None
     _optimized, report = optimize_module(
-        module, model=task.model, entry=task.entry,
+        task_module(task), model=task.model, entry=task.entry,
         max_steps=task.max_steps, max_states=task.max_states,
         cost_model=cost_model,
         require_marks=task.require_marks, clone=False,
@@ -75,6 +69,41 @@ def run_optimize_task(task):
     return report.to_dict()
 
 
-def run_optimize_tasks(tasks, jobs=None):
-    """Run a batch of optimize tasks; results align with input order."""
-    return run_tasks(tasks, jobs=jobs, worker=run_optimize_task)
+@dataclass(frozen=True)
+class RepairTask:
+    """One port-then-repair job, self-contained and picklable."""
+
+    #: Module name (carried into the report).
+    name: str
+    #: Mini-C source text (or IR text when ``is_ir``).
+    source: str
+    model: str = "wmm"
+    #: PortingLevel value to port to before repairing, or None to
+    #: repair the compiled module as-is.
+    level: str = "atomig"
+    #: Optional AtoMigConfig for the porting pipeline.
+    config: object = None
+    is_ir: bool = False
+    #: Architecture cost-model name ("armv8" / "power"); None keeps the
+    #: default model.
+    arch: str = None
+    #: Model-check the repaired module and record the evidence.
+    verify: bool = False
+    max_steps: int = 2500
+    max_states: int = 400_000
+
+
+def run_repair_task(task):
+    """Compile, port and statically repair one task; returns a report dict.
+
+    Top-level (not a closure) so it pickles under every multiprocessing
+    start method.
+    """
+    from repro.analysis.repair import repair_module
+
+    _repaired, report = repair_module(
+        task_module(task), model=task.model, arch=task.arch, clone=False,
+        verify=task.verify, max_steps=task.max_steps,
+        max_states=task.max_states,
+    )
+    return report.to_dict()

@@ -57,7 +57,7 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
     mapping (see ``run_module(record_counts=True)``) that weights the
     candidate order by dynamic execution frequency; without it the
     static cost model decides.  ``jobs > 1`` fans bisection probes
-    across the :mod:`repro.mc.parallel` pool.  ``require_marks=False``
+    across the :mod:`repro.core.workers` pool.  ``require_marks=False``
     also considers SC accesses without porter provenance marks (for
     hand-written modules).  ``robustness=False`` disables the oracle's
     static fast path (every query explores).

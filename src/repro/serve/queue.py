@@ -1,29 +1,32 @@
 """Priority job queue + daemon: execute stored jobs on worker threads.
 
 A job is a ``(kind, payload)`` pair persisted by
-:class:`repro.serve.store.JobStore`.  Kinds map onto the existing batch
-harnesses — ``port`` through :mod:`repro.core.parallel`, ``check``
-through :mod:`repro.mc.parallel`, ``optimize`` through
-:mod:`repro.opt.parallel`, ``repair`` through
-:func:`repro.analysis.repair.repair_module` — so one daemon process
-serves every report type the one-shot CLI can produce.  Multi-module
-("tree") jobs fan out across the persistent process pools of
-:mod:`repro.core.workers` when the daemon is configured with
-``fanout > 1``.
+:class:`repro.serve.store.JobStore`.  Each kind is one row of a table
+(task builder, picklable worker, option whitelist, row formatter) over
+the batch tasks the tables and the CLI use — ``port`` runs
+:class:`repro.core.parallel.PortTask`, ``check``
+:class:`repro.mc.parallel.CheckTask`, ``optimize`` and ``repair``
+:class:`repro.opt.parallel.OptimizeTask` / ``RepairTask`` — so one
+daemon process serves every report type the one-shot CLI can produce,
+and every kind runs through :func:`repro.core.workers.run_batch`.
+Multi-module ("tree") jobs fan out across the persistent process pools
+when the daemon is configured with ``fanout > 1``.
 
 Dedup is content-addressed: :func:`job_dedup_key` hashes the blake2b
-modcache digest of every module's source together with a canonical
-JSON fingerprint of everything else in the payload (kind, level,
-model, options, config).  Re-submitting an unchanged source+config is
+modcache digest of every module's source (which covers the code
+fingerprint of the ``repro`` package) together with a canonical JSON
+fingerprint of everything else in the payload (kind, level, model,
+options, config).  Re-submitting an unchanged source+config is
 answered instantly from the stored result of the earlier job — zero
 porting seconds, ``cache_hit: true`` — never a re-port.
 
-Progress streams off the pipeline's stage boundaries: serial jobs run
-under :func:`repro.core.profile.stage_observer`, so every
+Progress streams off the pipeline's stage boundaries: in-process jobs
+run under :func:`repro.core.profile.stage_observer`, so every
 ``stage_start``/``stage_end`` of :func:`repro.core.pipeline.run_porting`
 becomes an NDJSON event on ``GET /jobs/<id>/events``.
 """
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -32,10 +35,11 @@ import threading
 import time
 import traceback
 
+from repro.core.parallel import PortTask, run_port_task
+from repro.core.profile import stage_observer
+from repro.core.workers import pooled, run_batch
+from repro.mc.parallel import CheckTask, run_task
 from repro.serve.store import TERMINAL_STATES, JobStore, _jsonable
-
-#: Supported job kinds (HTTP 400 for anything else).
-JOB_KINDS = ("port", "check", "optimize", "repair")
 
 #: Events kept per job before truncation (streaming clients see all of
 #: them live; the record keeps a bounded replay buffer).
@@ -49,9 +53,10 @@ def job_dedup_key(kind, payload):
     """Content-addressed key for one job: sources + config fingerprint.
 
     Module sources enter through :func:`repro.modcache.source_digest`
-    (which already covers the cache format version and the running
-    Python), everything else through canonical JSON, so two submissions
-    collide exactly when the service would do identical work.
+    (which already covers the code fingerprint of the ``repro`` package
+    and the running Python), everything else through canonical JSON, so
+    two submissions collide exactly when the service would do identical
+    work with identical code.
     """
     from repro import modcache
 
@@ -61,11 +66,7 @@ def job_dedup_key(kind, payload):
         if key != "modules"
     }
     hasher = hashlib.blake2b(digest_size=20)
-    # The tag names the job-result format: bump it when results change
-    # shape, so a restarted daemon's dedup index never serves a result
-    # in the old format (2: check stats lost their ``engine`` field,
-    # naive port reports their ``sticky_conversions`` alias).
-    hasher.update(f"serve2|{kind}|".encode())
+    hasher.update(f"{kind}|".encode())
     hasher.update(
         json.dumps(fingerprint, sort_keys=True, default=str).encode()
     )
@@ -143,173 +144,144 @@ def _emit_noop(type_, **fields):
     pass
 
 
+def _port_tasks(payload, modules, level, config, options):
+    if any(is_ir for _name, _source, is_ir in modules):
+        raise ValueError("port jobs take Mini-C sources, not IR text")
+    return [
+        PortTask(name=name, source=source, level=level, config=config,
+                 **options)
+        for name, source, _is_ir in modules
+    ]
+
+
+def _model_tasks(task_type, models_key=None, **defaults):
+    """Builder of one ``task_type`` per (module, model).
+
+    Level ``original`` means no port.  Only kinds with a ``models_key``
+    take a list of models; the others run under ``payload["model"]``.
+    """
+    def build(payload, modules, level, config, options):
+        models = payload.get(models_key) if models_key else None
+        models = models or [payload.get("model", "wmm")]
+        return [
+            task_type(name=name, source=source, model=model,
+                      level=None if level == "original" else level,
+                      config=config, is_ir=is_ir, **{**defaults, **options})
+            for name, source, is_ir in modules
+            for model in models
+        ]
+    return build
+
+
+def _port_row(task, outcome):
+    row = {
+        "name": outcome.name,
+        "level": outcome.level,
+        "report": outcome.report.to_dict() if outcome.report else None,
+        "barriers": list(outcome.barriers),
+        "build_seconds": outcome.build_seconds,
+        "port_seconds": outcome.port_seconds,
+        "ir": outcome.ir_text,
+    }
+    return row, {"port_seconds": outcome.port_seconds}
+
+
+def _check_row(task, result):
+    row = {"name": task.name, **check_to_dict(result)}
+    return row, {"model": task.model, "outcome": row["outcome"]}
+
+
+def _report_row(done_field):
+    """Row formatter for report-dict results; ``done_field`` is echoed."""
+    def row(task, report):
+        return ({"name": task.name, "report": report},
+                {done_field: report.get(done_field)})
+    return row
+
+
+@functools.cache
+def _job_kinds():
+    """kind -> (task builder, picklable worker, option whitelist,
+    ``(task, result) -> (row, module_done fields)``, result rows key).
+
+    Built on first use: importing the optimizer with the daemon would
+    slow every ``repro.serve`` import.
+    """
+    from repro.opt.parallel import (
+        OptimizeTask,
+        RepairTask,
+        run_optimize_task,
+        run_repair_task,
+    )
+
+    return {
+        "port": (_port_tasks, run_port_task, ("emit_ir",), _port_row,
+                 "modules"),
+        "check": (_model_tasks(CheckTask, "models", robustness=True),
+                  run_task,
+                  ("max_steps", "max_states", "por", "macro", "robustness",
+                   "entry"),
+                  _check_row, "checks"),
+        "optimize": (_model_tasks(OptimizeTask), run_optimize_task,
+                     ("max_steps", "max_states", "require_marks",
+                      "robustness", "repair_seed", "arch", "entry"),
+                     _report_row("verdict_preserved"), "modules"),
+        "repair": (_model_tasks(RepairTask), run_repair_task,
+                   ("arch", "verify", "max_steps", "max_states"),
+                   _report_row("robust_after"), "modules"),
+    }
+
+
+#: Supported job kinds (HTTP 400 for anything else).
+JOB_KINDS = ("port", "check", "optimize", "repair")
+
+
+def _observed_call(worker, emit, task):
+    """Run one in-process task, forwarding its pipeline events.
+
+    Every event is tagged with this task's module name, so a
+    multi-module job's stream says which module each stage belongs to.
+    """
+    def forward(event):
+        type_ = event.pop("type")
+        emit(type_, **{**event, "module": task.name})
+
+    with stage_observer(forward):
+        return worker(task)
+
+
 def execute_payload(kind, payload, fanout=1, emit=None):
     """Run one job's work; returns the JSON-ready result dict.
 
     Raises on malformed payloads or pipeline errors — the daemon turns
     exceptions into ``failed`` records.  ``emit(type, **fields)``
-    receives progress events; serial single-module jobs additionally
-    stream the porting pipeline's per-stage boundaries through it.
-    ``fanout > 1`` fans multi-module jobs across the persistent process
-    pools (stage events then stay inside the workers).
+    receives progress events.  Jobs that run in-process additionally
+    stream the porting pipeline's per-stage boundaries through it;
+    multi-module jobs with ``fanout > 1`` fan out across the persistent
+    process pools (announced by a ``fanout`` event; stage events then
+    stay inside the workers).
     """
     emit = emit or _emit_noop
     if kind not in JOB_KINDS:
         raise ValueError(f"unknown job kind {kind!r}")
+    build, worker, allowed, to_row, rows_key = _job_kinds()[kind]
     modules = _modules(payload)
     config = _build_config(payload)
     level = payload.get("level") or "atomig"
-    options = dict(payload.get("options") or {})
     emit("job_start", kind=kind, modules=len(modules), level=level)
+    options = _pick(dict(payload.get("options") or {}), allowed)
+    tasks = build(payload, modules, level, config, options)
 
-    if kind == "port":
-        return _execute_port(modules, level, config, options, fanout, emit)
-    if kind == "check":
-        models = list(payload.get("models") or [payload.get("model", "wmm")])
-        return _execute_check(
-            modules, level, config, models, options, fanout, emit
-        )
-    if kind == "optimize":
-        model = payload.get("model", "wmm")
-        return _execute_optimize(
-            modules, level, config, model, options, fanout, emit
-        )
-    model = payload.get("model", "wmm")
-    return _execute_repair(modules, level, config, model, options, emit)
-
-
-def _observed(emit, name):
-    """Stage-observer context forwarding pipeline events for ``name``."""
-    from repro.core.profile import stage_observer
-
-    def forward(event):
-        type_ = event.pop("type")
-        # Pipeline events like ``port_done`` already carry a module
-        # field; only tag the bare per-stage ones.
-        event.setdefault("module", name)
-        emit(type_, **event)
-
-    return stage_observer(forward)
-
-
-def _execute_port(modules, level, config, options, fanout, emit):
-    from repro.core.parallel import PortTask, run_port_task, run_port_tasks
-
-    options = _pick(options, ("emit_ir",))
-    if any(is_ir for _name, _source, is_ir in modules):
-        raise ValueError("port jobs take Mini-C sources, not IR text")
-    tasks = [
-        PortTask(name=name, source=source, level=level, config=config,
-                 emit_ir=bool(options.get("emit_ir")))
-        for name, source, _is_ir in modules
-    ]
-    if len(tasks) > 1 and fanout > 1:
+    if pooled(tasks, fanout):
         emit("fanout", jobs=fanout, tasks=len(tasks))
-        outcomes = run_port_tasks(tasks, jobs=fanout)
     else:
-        outcomes = []
-        for task in tasks:
-            with _observed(emit, task.name):
-                outcomes.append(run_port_task(task))
+        worker = functools.partial(_observed_call, worker, emit)
     rows = []
-    for outcome in outcomes:
-        rows.append({
-            "name": outcome.name,
-            "level": outcome.level,
-            "report": outcome.report.to_dict() if outcome.report else None,
-            "barriers": list(outcome.barriers),
-            "build_seconds": outcome.build_seconds,
-            "port_seconds": outcome.port_seconds,
-            "ir": outcome.ir_text,
-        })
-        emit("module_done", module=outcome.name,
-             port_seconds=outcome.port_seconds)
-    return {"kind": "port", "modules": rows}
-
-
-def _execute_check(modules, level, config, models, options, fanout, emit):
-    from repro.mc.parallel import CheckTask, run_task, run_tasks
-
-    options = _pick(options, ("max_steps", "max_states", "por", "macro",
-                              "robustness", "entry"))
-    options.setdefault("robustness", True)
-    task_level = None if level in (None, "original") else level
-    tasks = [
-        CheckTask(name=name, source=source, model=model, level=task_level,
-                  config=config, is_ir=is_ir, **options)
-        for name, source, is_ir in modules
-        for model in models
-    ]
-    if len(tasks) > 1 and fanout > 1:
-        emit("fanout", jobs=fanout, tasks=len(tasks))
-        results = run_tasks(tasks, jobs=fanout)
-    else:
-        results = []
-        for task in tasks:
-            with _observed(emit, task.name):
-                results.append(run_task(task))
-    rows = []
-    for task, result in zip(tasks, results):
-        row = {"name": task.name, **check_to_dict(result)}
+    for task, result in zip(tasks, run_batch(worker, tasks, jobs=fanout)):
+        row, done = to_row(task, result)
         rows.append(row)
-        emit("module_done", module=task.name, model=task.model,
-             outcome=row["outcome"])
-    return {"kind": "check", "checks": rows}
-
-
-def _execute_optimize(modules, level, config, model, options, fanout, emit):
-    from repro.opt.parallel import (
-        OptimizeTask,
-        run_optimize_task,
-        run_optimize_tasks,
-    )
-
-    options = _pick(options, ("max_steps", "max_states", "require_marks",
-                              "robustness", "repair_seed", "arch", "entry"))
-    task_level = None if level in (None, "original") else level
-    tasks = [
-        OptimizeTask(name=name, source=source, model=model, level=task_level,
-                     config=config, is_ir=is_ir, **options)
-        for name, source, is_ir in modules
-    ]
-    if len(tasks) > 1 and fanout > 1:
-        emit("fanout", jobs=fanout, tasks=len(tasks))
-        reports = run_optimize_tasks(tasks, jobs=fanout)
-    else:
-        reports = []
-        for task in tasks:
-            with _observed(emit, task.name):
-                reports.append(run_optimize_task(task))
-    rows = []
-    for task, report in zip(tasks, reports):
-        rows.append({"name": task.name, "report": report})
-        emit("module_done", module=task.name,
-             verdict_preserved=report.get("verdict_preserved"))
-    return {"kind": "optimize", "modules": rows}
-
-
-def _execute_repair(modules, level, config, model, options, emit):
-    from repro.analysis.repair import repair_module
-    from repro.api import port_module
-    from repro.core.config import PortingLevel
-    from repro.core.workers import cached_module
-
-    options = _pick(options, ("arch", "verify", "max_steps", "max_states"))
-    rows = []
-    for name, source, is_ir in modules:
-        module = cached_module(source, name, is_ir=is_ir)
-        with _observed(emit, name):
-            if level not in (None, "original"):
-                module, _report = port_module(
-                    module, PortingLevel(level), config=config
-                )
-            _repaired, report = repair_module(
-                module, model=model, clone=False, **options
-            )
-        rows.append({"name": name, "report": report.to_dict()})
-        emit("module_done", module=name,
-             robust_after=report.robust_after)
-    return {"kind": "repair", "modules": rows}
+        emit("module_done", module=task.name, **done)
+    return {"kind": kind, rows_key: rows}
 
 
 # -- the daemon --------------------------------------------------------------

@@ -44,6 +44,15 @@ def test_table5_single_benchmark_subset():
     assert row["atomig"] <= row["naive"] + 0.10
 
 
+def test_table5_serial_and_pooled_rows_identical():
+    """The VM is deterministic per seed: pooling changes no digit."""
+    subset = ("message_passing", "ck_ring")
+    serial = table5(benchmarks=subset, seeds=(0,))
+    pooled = table5(benchmarks=subset, seeds=(0,), jobs=2)
+    assert [row["benchmark"] for row in serial] == list(subset)
+    assert serial == pooled
+
+
 def test_table_lint_single_benchmark_subset():
     assert "ck_spinlock_cas_legacy" in LINT_BENCHMARKS
     rows = table_lint(benchmarks=("ck_spinlock_cas_legacy",))

@@ -1,6 +1,8 @@
-"""The persistent worker-pool layer: caching, seeding, accounting."""
+"""The batch runner and persistent pools: caching, accounting, races."""
 
 import os
+import threading
+import time
 
 from repro.core import workers
 from repro.core.workers import (
@@ -8,7 +10,8 @@ from repro.core.workers import (
     cached_module,
     get_pool,
     pool_stats,
-    seed_worker,
+    pooled,
+    run_batch,
     shutdown_pools,
     timed_call,
 )
@@ -45,19 +48,16 @@ class TestModuleCache:
             cached_module(SOURCE, "m", is_ir=True)
         except Exception:
             pass
-        assert workers._source_key(SOURCE, True) not in keys
+        assert workers._source_key(SOURCE, "m", True) not in keys
 
-    def test_seeded_entries_survive_memo_pressure(self):
+    def test_modules_sharing_a_source_keep_their_own_names(self):
+        """A memo hit must not hand out a module compiled under another
+        name: reports and ``port_done`` events carry that name."""
         workers._MEMO.clear()
-        seed_worker([("m", SOURCE, False)])
-        try:
-            assert workers._source_key(SOURCE, False) in workers._SEEDED
-            workers._MEMO.clear()
-            module = cached_module(SOURCE, "m")
-            assert "main" in module.functions
-            assert not workers._MEMO  # served from the seed, not memoized
-        finally:
-            workers._SEEDED.clear()
+        assert cached_module(SOURCE, "one").name == "one"
+        assert cached_module(SOURCE, "two").name == "two"
+        assert cached_module(SOURCE, "one").name == "one"
+        workers._MEMO.clear()
 
     def test_memo_is_bounded(self):
         workers._MEMO.clear()
@@ -72,6 +72,30 @@ class TestModuleCache:
 
 def _double(value):
     return value * 2
+
+
+class TestRunBatch:
+    def test_in_process_below_two_jobs_or_tasks(self):
+        seen = []
+        # A closure cannot pickle: reaching it proves no pool was used.
+        record = lambda value: seen.append(value) or value * 2  # noqa: E731
+        assert run_batch(record, [1, 2, 3]) == [2, 4, 6]
+        assert run_batch(record, [1, 2, 3], jobs=1) == [2, 4, 6]
+        assert run_batch(record, [4], jobs=4) == [8]
+        assert seen == [1, 2, 3, 1, 2, 3, 4]
+        assert not pooled([1, 2], None) and not pooled([1], 4)
+
+    def test_pooled_batches_keep_order(self):
+        shutdown_pools()
+        try:
+            assert pooled([1, 2], 2)
+            values = list(range(7))
+            assert run_batch(_double, values, jobs=2) == [
+                v * 2 for v in values
+            ]
+            assert pool_stats()[2]["batches"] == 1
+        finally:
+            shutdown_pools()
 
 
 class TestTimedCall:
@@ -118,3 +142,55 @@ class TestPool:
         finally:
             shutdown_pools()
         assert pool_stats() == {}
+
+    def test_pool_stats_is_a_snapshot(self):
+        shutdown_pools()
+        try:
+            pool = get_pool(2)
+            pool.map(_double, [1, 2, 3])
+            snapshot = pool_stats()
+            pool.map(_double, [4, 5, 6])
+            tasks = sum(s["tasks"] for s in snapshot[2]["workers"].values())
+            assert tasks == 3  # later batches must not leak in
+        finally:
+            shutdown_pools()
+
+
+class _SlowPool:
+    """Stands in for :class:`WorkerPool`: slow to build, never forks."""
+
+    built = []
+
+    def __init__(self, jobs):
+        time.sleep(0.05)
+        self.jobs = jobs
+        self.batches = 0
+        self.worker_stats = {}
+        _SlowPool.built.append(self)
+
+    def close(self, terminate=False):
+        pass
+
+
+def test_concurrent_get_pool_builds_one_pool(monkeypatch):
+    """Threads racing on a missing pool must share one registered pool
+    (a second, unregistered pool would never be shut down)."""
+    shutdown_pools()
+    monkeypatch.setattr(workers, "WorkerPool", _SlowPool)
+    _SlowPool.built = []
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(get_pool(3)))
+        for _ in range(4)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 4
+        assert len(_SlowPool.built) == 1
+        assert all(pool is _SlowPool.built[0] for pool in got)
+    finally:
+        shutdown_pools()

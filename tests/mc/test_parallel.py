@@ -1,14 +1,8 @@
 """The parallel check harness must agree with in-process checking."""
 
-from repro.api import compile_source
 from repro.bench.corpus import BENCHMARKS
-from repro.mc.explorer import compare_models
-from repro.mc.parallel import (
-    CheckTask,
-    compare_models_parallel,
-    run_task,
-    run_tasks,
-)
+from repro.core.workers import run_batch
+from repro.mc.parallel import CheckTask, run_task
 
 BOUNDS = dict(max_steps=600, max_states=400_000)
 
@@ -24,8 +18,8 @@ def _tasks():
 
 def test_run_tasks_parallel_matches_sequential():
     tasks = _tasks()
-    sequential = run_tasks(tasks, jobs=None)
-    parallel = run_tasks(tasks, jobs=2)
+    sequential = run_batch(run_task, tasks, jobs=None)
+    parallel = run_batch(run_task, tasks, jobs=2)
     assert len(parallel) == len(tasks)
     for seq, par in zip(sequential, parallel):
         assert par.ok == seq.ok
@@ -44,18 +38,7 @@ def test_run_task_original_level_skips_porting():
     assert not unported.ok
 
 
-def test_compare_models_parallel_matches_inprocess():
-    source = BENCHMARKS["message_passing"].mc_source()
-    parallel = compare_models_parallel(source, name="mp", jobs=3, **BOUNDS)
-    inprocess = compare_models(compile_source(source, "mp"), **BOUNDS)
-    assert set(parallel) == {"sc", "tso", "wmm"}
-    for model, result in inprocess.items():
-        assert parallel[model].ok == result.ok
-        assert parallel[model].outcome == result.outcome
-        assert parallel[model].states_explored == result.states_explored
-
-
 def test_jobs_one_runs_in_process():
     """jobs<=1 must not spawn a pool (deterministic default path)."""
     tasks = _tasks()[:1]
-    assert run_tasks(tasks, jobs=1)[0].ok == run_task(tasks[0]).ok
+    assert run_batch(run_task, tasks, jobs=1)[0].ok == run_task(tasks[0]).ok

@@ -4,9 +4,12 @@ import re
 
 import pytest
 
+from repro import modcache
 from repro.api import compile_source, port_module
 from repro.core.config import PortingLevel
+from repro.core.workers import shutdown_pools
 from repro.serve.queue import JobDaemon, execute_payload, job_dedup_key
+from repro.serve.store import JobStore
 
 BROKEN_SOURCE = "int main( {"
 
@@ -25,6 +28,17 @@ def normalized(report_dict):
 def test_dedup_key_is_stable(port_payload):
     assert job_dedup_key("port", port_payload()) == \
         job_dedup_key("port", port_payload())
+
+
+def test_dedup_key_covers_the_code_fingerprint(port_payload, monkeypatch):
+    """Both caches key on the code: a changed ``repro`` package must
+    never be answered from results the old code computed."""
+    source = port_payload()["modules"][0]["source"]
+    digest = modcache.source_digest(source, "mp.c")
+    key = job_dedup_key("port", port_payload())
+    monkeypatch.setattr(modcache, "code_fingerprint", lambda: "other-code")
+    assert modcache.source_digest(source, "mp.c") != digest
+    assert job_dedup_key("port", port_payload()) != key
 
 
 def test_dedup_key_covers_kind_level_config_and_source(port_payload):
@@ -105,6 +119,64 @@ def test_execute_emits_stage_events(port_payload):
     assert types[-1] == "module_done"
 
 
+def _two_modules(source, level="atomig", **extra):
+    payload = {"modules": [{"name": "one", "source": source},
+                           {"name": "two", "source": source}],
+               "level": level}
+    payload.update(extra)
+    return payload
+
+
+def _module_tags(events, type_):
+    return [fields["module"] for t, fields in events if t == type_]
+
+
+def test_in_process_stage_events_carry_their_module(mp_source):
+    events = []
+    execute_payload(
+        "port", _two_modules(mp_source), fanout=1,
+        emit=lambda type_, **f: events.append((type_, f)),
+    )
+    assert not any(t == "fanout" for t, _f in events)
+    starts = _module_tags(events, "stage_start")
+    assert set(starts) == {"one", "two"}
+    assert starts == sorted(starts)  # module one's stages, then two's
+    assert _module_tags(events, "stage_end") == starts
+    assert _module_tags(events, "port_done") == ["one", "two"]
+    assert _module_tags(events, "module_done") == ["one", "two"]
+
+
+def test_pooled_jobs_announce_fanout_without_stage_events(mp_source):
+    events = []
+    try:
+        result = execute_payload(
+            "port", _two_modules(mp_source), fanout=2,
+            emit=lambda type_, **f: events.append((type_, f)),
+        )
+    finally:
+        shutdown_pools()
+    types = [t for t, _f in events]
+    assert types == ["job_start", "fanout", "module_done", "module_done"]
+    assert [row["name"] for row in result["modules"]] == ["one", "two"]
+
+
+def test_modules_sharing_a_source_keep_their_names(mp_source):
+    """The per-worker module memo once keyed on source text alone, so
+    the second of two identical modules came back under the first's
+    name."""
+    optimized = execute_payload(
+        "optimize", _two_modules(mp_source, options={"max_steps": 400})
+    )
+    assert [row["report"]["module"] for row in optimized["modules"]] == \
+        ["one.atomig", "two.atomig"]
+    events = []
+    execute_payload(
+        "repair", _two_modules(mp_source),
+        emit=lambda type_, **f: events.append((type_, f)),
+    )
+    assert _module_tags(events, "port_done") == ["one", "two"]
+
+
 # -- daemon ------------------------------------------------------------------
 
 
@@ -131,6 +203,30 @@ def test_daemon_dedup_is_an_instant_cache_hit(daemon, port_payload):
     assert normalized(second["result"]["modules"][0]["report"]) == \
         normalized(done["result"]["modules"][0]["report"])
     assert daemon.counters["cache_hits"] == 1
+
+
+def test_restart_under_new_code_reruns_instead_of_cache_hit(
+        store, port_payload, monkeypatch):
+    first = JobDaemon(store, workers=1)
+    first.start()
+    try:
+        done = first.wait(first.submit("port", port_payload())["id"],
+                          timeout=60)
+    finally:
+        first.shutdown(drain=True)
+    assert done["state"] == "done"
+
+    monkeypatch.setattr(modcache, "code_fingerprint", lambda: "new-code")
+    second = JobDaemon(JobStore(store.directory), workers=1)
+    second.start()
+    try:
+        record = second.submit("port", port_payload())
+        assert record["cache_hit"] is False
+        assert second.wait(record["id"], timeout=60)["state"] == "done"
+        # The same code still hits its own results.
+        assert second.submit("port", port_payload())["cache_hit"] is True
+    finally:
+        second.shutdown(drain=True)
 
 
 def test_daemon_different_config_misses_the_cache(daemon, port_payload):

@@ -365,6 +365,29 @@ def test_check_json_output(mp_file, capsys):
     assert by_model["wmm"]["violation"] is not None
 
 
+def _timeless_checks(text):
+    rows = json.loads(text)
+    for row in rows:
+        stats = json.loads(row["stats"])
+        stats.pop("wall_seconds")
+        stats.pop("states_per_second")
+        row["stats"] = stats
+    return rows
+
+
+@pytest.mark.parametrize("level", ["original", "atomig"])
+def test_check_json_identical_with_and_without_jobs(mp_file, capsys, level):
+    argv = ["check", mp_file, "--models", "sc", "tso", "wmm", "--json",
+            "--level", level, "--max-steps", "400"]
+    serial_code = main(argv)
+    serial = _timeless_checks(capsys.readouterr().out)
+    pooled_code = main(argv + ["--jobs", "2"])
+    pooled = _timeless_checks(capsys.readouterr().out)
+    assert serial_code == pooled_code
+    assert [row["model"] for row in serial] == ["sc", "tso", "wmm"]
+    assert serial == pooled
+
+
 def test_litmus_unknown_name_diagnoses_on_stderr(capsys):
     assert main(["litmus", "NOPE"]) == 2
     captured = capsys.readouterr()
