@@ -13,6 +13,7 @@ from repro.bench.corpus import BENCHMARKS, PHOENIX_PAPER_NUMBERS
 from repro.bench.synth import PAPER_TABLE3, generate_codebase
 from repro.core.config import PortingLevel
 from repro.core.report import count_barriers
+from repro.gcpause import collect_between_jobs
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,7 @@ def _table3_app(task):
     (milliseconds) instead of shipping megabytes through the pool.
     """
     app_name, scale, seed, frontend_cache, profile = task
+    collect_between_jobs()
     source = generate_codebase(app_name, scale=scale, seed=seed)
 
     started = time.perf_counter()

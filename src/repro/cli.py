@@ -41,6 +41,7 @@ from repro.api import (
     run_module,
 )
 from repro.core.config import AtoMigConfig, PortingLevel
+from repro.errors import SourceError
 
 _LEVELS = {level.value: level for level in PortingLevel}
 
@@ -1135,7 +1136,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SourceError as error:
+        # Malformed Mini-C: report it compiler-style, not as a traceback.
+        where = getattr(args, "file", None)
+        print(f"{where}:{error}" if where else str(error), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -75,7 +75,9 @@ def run_port_task(task):
     from repro.api import compile_source, port_module, run_module
     from repro.core.config import PortingLevel
     from repro.core.report import count_barriers
+    from repro.gcpause import collect_between_jobs
 
+    collect_between_jobs()
     started = time.perf_counter()
     module = compile_source(task.source, task.name, cache=task.frontend_cache)
     build_seconds = time.perf_counter() - started

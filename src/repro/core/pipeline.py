@@ -28,12 +28,14 @@ from repro.core.prune import (
 )
 from repro.core.report import PortingReport, count_barriers
 from repro.core.spinloops import detect_spinloops
+from repro.gcpause import gc_paused
 from repro.ir.verifier import verify_module
 from repro.transform.inline import inline_module
 from repro.transform.lasagne import lasagne_port
 from repro.transform.naive import naive_port
 
 
+@gc_paused
 def run_porting(module, level=PortingLevel.ATOMIG, config=None,
                 optimize=False, optimize_kwargs=None):
     """Port ``module`` according to ``level``; returns (ported, report).

@@ -7,12 +7,11 @@ assembly, and a small pthread-like threading API.
 """
 
 from repro.lang.ast_nodes import Program
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse
 from repro.lang.sema import SemanticAnalyzer, analyze
 
 __all__ = [
-    "Lexer",
     "Parser",
     "Program",
     "SemanticAnalyzer",

@@ -1,179 +1,111 @@
-"""Hand-written lexer for Mini-C source text."""
+"""Table-driven lexer for Mini-C source text.
+
+One compiled master regular expression of named groups is matched at
+each position in turn; the name of the group that matched says what
+was found.  The lexer handles ``//``, ``#`` and ``/* */`` comments,
+decimal / hex / octal / character literals, string literals with
+simple escapes, and all Mini-C operators and keywords.  A catch-all
+group turns any other character (and an unterminated literal or
+comment) into a :class:`LexerError` at its line and column.
+"""
+
+import re
 
 from repro.errors import LexerError
+from repro.gcpause import gc_paused
 from repro.lang.tokens import KEYWORDS, OPERATORS, Token, TokenKind
 
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "'": "'"}
+_ESCAPE = re.compile(r"\\([\s\S])")
+_OPERATOR_KINDS = dict(OPERATORS)
+_IDENT = TokenKind.IDENT
 
-class Lexer:
-    """Scans Mini-C source text into a list of :class:`Token` objects.
+# Each match is one token, comment or newline with the blanks before it.
+# Alternatives are tried in order: the commonest first, comments before
+# the ``/`` operator, operators longest first (``OPERATORS`` is sorted
+# that way), the catch-all last.  The catch-all skips blanks, so blanks
+# the pattern gave back (trailing ones) match nothing and are skipped.
+_MASTER = re.compile(r"[ \t\r]*(?:" + "|".join(
+    f"(?P<{name}>{pattern})" for name, pattern in (
+        ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+        ("NEWLINE", r"\n"),
+        ("NUMBER", r"0[xX][0-9a-fA-F]*[uUlL]*|[0-9]+[uUlL]*"),
+        ("COMMENT", r"//[^\n]*|#[^\n]*"),
+        ("BLOCK", r"/\*[\s\S]*?\*/"),
+        ("OPEN_BLOCK", r"/\*"),
+        ("STRING", r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'),
+        ("CHAR", r"'(?:\\[\s\S]|[^\\])'"),
+        ("OP", "|".join(re.escape(spelling) for spelling, _ in OPERATORS)),
+        ("ERROR", r"[^ \t\r]"),
+    )
+) + ")")
 
-    The lexer handles ``//`` and ``/* */`` comments, decimal / hex /
-    octal / character literals, string literals with simple escapes, and
-    all Mini-C operators and keywords.
-    """
-
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def tokenize(self):
-        """Return the full token stream, terminated by an EOF token."""
-        tokens = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # -- internal helpers ------------------------------------------------
-
-    def _peek(self, offset=0):
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_trivia(self):
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                # Preprocessor-style lines (e.g. ``#define``) are treated
-                # as comments: the corpus uses them only for readability.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexerError(
-                        "unterminated block comment", start_line, start_col
-                    )
-            else:
-                return
-
-    def _next_token(self):
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", line, column)
-
-        ch = self._peek()
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            return self._lex_ident(line, column)
-        if ch in "0123456789":
-            return self._lex_number(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        if ch == "'":
-            return self._lex_char(line, column)
-
-        for spelling, kind in OPERATORS:
-            if self.source.startswith(spelling, self.pos):
-                self._advance(len(spelling))
-                return Token(kind, spelling, line, column)
-
-        raise LexerError(f"unexpected character {ch!r}", line, column)
-
-    def _lex_ident(self, line, column):
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isascii()
-            and (self._peek().isalnum() or self._peek() == "_")
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line, column):
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self.pos < len(self.source) and (
-                self._peek().isdigit() or self._peek().lower() in "abcdef"
-            ):
-                self._advance()
-            text = self.source[start : self.pos]
-            value = int(text, 16)
-        else:
-            while self.pos < len(self.source) and self._peek() in "0123456789":
-                self._advance()
-            text = self.source[start : self.pos]
-            if text.startswith("0") and len(text) > 1:
-                try:
-                    value = int(text, 8)
-                except ValueError:
-                    raise LexerError(
-                        f"invalid octal literal {text!r}", line, column
-                    ) from None
-            else:
-                value = int(text)
-        # Swallow C integer suffixes (``UL``, ``LL`` ...): Mini-C has one
-        # integer type, so the suffix carries no information.
-        while self.pos < len(self.source) and self._peek() in "uUlL":
-            self._advance()
-            text = self.source[start : self.pos]
-        return Token(TokenKind.INT_LIT, text, line, column, value)
-
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "'": "'"}
-
-    def _lex_string(self, line, column):
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexerError("unterminated string literal", line, column)
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                chars.append(self._ESCAPES.get(esc, esc))
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        text = "".join(chars)
-        return Token(TokenKind.STRING_LIT, text, line, column, text)
-
-    def _lex_char(self, line, column):
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            ch = self._ESCAPES.get(self._peek(), self._peek())
-        self._advance()
-        if self._peek() != "'":
-            raise LexerError("unterminated character literal", line, column)
-        self._advance()
-        return Token(TokenKind.CHAR_LIT, ch, line, column, ord(ch))
+_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
+}
 
 
+def _number_value(text, line, column):
+    # C integer suffixes (``UL``, ``LL`` ...) carry no information:
+    # Mini-C has one integer type.
+    digits = text.rstrip("uUlL")
+    if digits[:2] in ("0x", "0X"):
+        if len(digits) == 2:
+            raise LexerError(f"invalid hex literal {text!r}", line, column)
+        return int(digits, 16)
+    if digits[0] == "0" and len(digits) > 1:
+        try:
+            return int(digits, 8)
+        except ValueError:
+            raise LexerError(
+                f"invalid octal literal {digits!r}", line, column
+            ) from None
+    return int(digits)
+
+
+def _unescape(body):
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
+
+
+@gc_paused
 def tokenize(source):
-    """Convenience wrapper: lex ``source`` and return the token list."""
-    return Lexer(source).tokenize()
+    """Lex ``source`` into a list of :class:`Token`, ending with EOF."""
+    tokens = []
+    append = tokens.append
+    keywords, operators = KEYWORDS, _OPERATOR_KINDS
+    line, line_start = 1, 0
+    for match in _MASTER.finditer(source):
+        group = match.lastgroup
+        if group == "NEWLINE":
+            line += 1
+            line_start = match.end()
+            continue
+        text = match[group]
+        column = match.start(group) - line_start + 1
+        if group == "IDENT":
+            append(Token(keywords.get(text, _IDENT), text, line, column))
+        elif group == "OP":
+            append(Token(operators[text], text, line, column))
+        elif group == "NUMBER":
+            append(Token(TokenKind.INT_LIT, text, line, column,
+                         _number_value(text, line, column)))
+        elif group == "STRING":
+            value = _unescape(text[1:-1])
+            append(Token(TokenKind.STRING_LIT, value, line, column, value))
+        elif group == "CHAR":
+            char = _unescape(text[1:-1])
+            append(Token(TokenKind.CHAR_LIT, char, line, column, ord(char)))
+        elif group not in ("COMMENT", "BLOCK"):
+            raise LexerError(
+                _UNTERMINATED.get(text, f"unexpected character {text!r}"),
+                line, column,
+            )
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = match.end() - len(text) + text.rindex("\n") + 1
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens

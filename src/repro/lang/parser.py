@@ -1,15 +1,32 @@
 """Recursive-descent parser for Mini-C.
 
 The grammar is a classic C subset.  Precedence climbing handles
-expressions; declarations are distinguished from expression statements by
-one-token lookahead on type keywords (Mini-C has no typedef-name
-ambiguity because ``typedef`` only aliases builtin spellings).
+expressions: one loop over the :data:`_BINARY_OPS` table parses every
+binary operator tier.  Declarations are distinguished from expression
+statements by one-token lookahead on type keywords (Mini-C has no
+typedef-name ambiguity because ``typedef`` only aliases builtin
+spellings).
+
+Expressions may nest at most :data:`MAX_EXPR_DEPTH` levels deep; deeper
+input is a located :class:`ParseError`, whatever the interpreter's
+recursion limit.
 """
 
 from repro.errors import ParseError
+from repro.gcpause import gc_paused
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokenKind as T
+
+#: How deep one expression may nest.  It bounds both the parser's own
+#: recursion (parentheses, brackets, unary operators, casts, the right
+#: operands of assignments and conditionals, initializer braces) and the
+#: height of the tree it builds, where a flat chain ``1 + 1 + ... + 1``
+#: is a left spine as tall as its operator count.  C11 (5.2.4.1) asks
+#: for at least 63 levels of parentheses; the deepest accepted tree
+#: stays well inside the default recursion limit of the recursive
+#: passes after parsing (sema, lowering).
+MAX_EXPR_DEPTH = 80
 
 _TYPE_STARTERS = {
     T.KW_INT,
@@ -40,19 +57,55 @@ _ASSIGN_OPS = {
     T.SHR_ASSIGN: ">>",
 }
 
-# Binary operator precedence tiers, weakest first.
-_BINARY_TIERS = [
-    [(T.OR_OR, "||")],
-    [(T.AND_AND, "&&")],
-    [(T.PIPE, "|")],
-    [(T.CARET, "^")],
-    [(T.AMP, "&")],
-    [(T.EQ, "=="), (T.NE, "!=")],
-    [(T.LT, "<"), (T.GT, ">"), (T.LE, "<="), (T.GE, ">=")],
-    [(T.SHL, "<<"), (T.SHR, ">>")],
-    [(T.PLUS, "+"), (T.MINUS, "-")],
-    [(T.STAR, "*"), (T.SLASH, "/"), (T.PERCENT, "%")],
-]
+#: Type words that set the base type; the qualifiers Mini-C ignores map
+#: to None.  ``long long``, ``unsigned long int`` ... all mean ``int``.
+_BASE_WORDS = {
+    T.KW_INT: "int", T.KW_LONG: "int", T.KW_CHAR: "int", T.KW_VOID: "void",
+    T.KW_CONST: None, T.KW_STATIC: None, T.KW_EXTERN: None,
+    T.KW_UNSIGNED: None, T.KW_SIGNED: None,
+}
+
+#: Binary operators: token kind -> (precedence, spelling), tighter
+#: binding higher.  All are left-associative.
+_BINARY_OPS = {
+    T.OR_OR: (1, "||"),
+    T.AND_AND: (2, "&&"),
+    T.PIPE: (3, "|"),
+    T.CARET: (4, "^"),
+    T.AMP: (5, "&"),
+    T.EQ: (6, "=="), T.NE: (6, "!="),
+    T.LT: (7, "<"), T.GT: (7, ">"), T.LE: (7, "<="), T.GE: (7, ">="),
+    T.SHL: (8, "<<"), T.SHR: (8, ">>"),
+    T.PLUS: (9, "+"), T.MINUS: (9, "-"),
+    T.STAR: (10, "*"), T.SLASH: (10, "/"), T.PERCENT: (10, "%"),
+}
+
+_POSTFIX_STARTERS = {T.LBRACKET, T.DOT, T.ARROW, T.PLUS_PLUS, T.MINUS_MINUS}
+
+#: Prefix operators; unary ``+`` yields its operand unchanged.
+_PREFIX_OPS = {
+    T.MINUS: "-", T.TILDE: "~", T.BANG: "!", T.STAR: "*", T.AMP: "&",
+    T.PLUS_PLUS: "++", T.MINUS_MINUS: "--", T.PLUS: None,
+}
+
+
+def _too_deep(token):
+    return ParseError("nesting too deep to parse", token.line, token.column)
+
+
+def _tree_depth(root):
+    """Edges on the longest path down from ``root``, an expression or an
+    initializer list (a list is one level), counted without recursion."""
+    deepest = 0
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        children = node if type(node) is list else vars(node).values()
+        for child in children:
+            if isinstance(child, ast.Expr) or type(child) is list:
+                stack.append((child, depth + 1))
+    return deepest
 
 
 class Parser:
@@ -62,15 +115,22 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.typedefs = {}  # alias name -> TypeSpec
+        #: Expression levels open around the current token.
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
+    #
+    # The stream always ends with one EOF token.  ``_advance`` never
+    # moves past it and ``_expect``/``_match`` are never asked for it,
+    # so ``tokens[pos]`` is always in range.
 
     def _peek(self, offset=0):
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
-    def _at(self, *kinds):
-        return self._peek().kind in kinds
+    def _at(self, kind):
+        return self.tokens[self.pos].kind is kind
 
     def _advance(self):
         token = self.tokens[self.pos]
@@ -79,17 +139,20 @@ class Parser:
         return token
 
     def _expect(self, kind, what=None):
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind is not kind:
             expected = what or kind.name
             raise ParseError(
                 f"expected {expected}, found {token.text!r}", token.line, token.column
             )
-        return self._advance()
+        self.pos += 1
+        return token
 
     def _match(self, kind):
-        if self._at(kind):
-            return self._advance()
+        token = self.tokens[self.pos]
+        if token.kind is kind:
+            self.pos += 1
+            return token
         return None
 
     def _starts_type(self, offset=0):
@@ -98,8 +161,24 @@ class Parser:
             return True
         return token.kind is T.IDENT and token.text in self.typedefs
 
+    def _nest(self, token):
+        """Open one more expression level at ``token``."""
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise _too_deep(token) from None
+
+    def _check_depth(self, tree, start):
+        """Reject a full expression (or initializer) that began at token
+        ``start`` and built a tree deeper than the limit.  A tree is no
+        deeper than its token count, so short ones are not walked."""
+        if self.pos - start > MAX_EXPR_DEPTH and not self.depth:
+            if _tree_depth(tree) > MAX_EXPR_DEPTH:
+                raise _too_deep(self.tokens[start]) from None
+        return tree
+
     # -- top level ---------------------------------------------------------
 
+    @gc_paused
     def parse_program(self):
         structs, globals_, functions, enums = [], [], [], []
         try:
@@ -117,24 +196,18 @@ class Parser:
                     else:
                         globals_.extend(decl_or_fn)
         except RecursionError:
-            # Every nesting level costs a dozen Python frames, so deep
-            # enough input exhausts the interpreter's stack: report it
-            # at the token where the parser gave up.
-            token = self._peek()
-            raise ParseError(
-                "nesting too deep to parse", token.line, token.column
-            ) from None
+            # Statements nest without a limit of their own; deep enough
+            # blocks exhaust the interpreter's stack: report it at the
+            # token where the parser gave up.
+            raise _too_deep(self._peek()) from None
         return ast.Program(structs, globals_, functions, enums)
 
     def _parse_typedef(self):
         line = self._expect(T.KW_TYPEDEF).line
         spec = self._parse_type_spec()
-        depth = 0
-        while self._match(T.STAR):
-            depth += 1
+        spec.pointer_depth += self._stars()
         name = self._expect(T.IDENT).text
         self._expect(T.SEMI)
-        spec.pointer_depth += depth
         spec.line = line
         self.typedefs[name] = spec
 
@@ -147,13 +220,9 @@ class Parser:
             spec = self._parse_type_spec()
             while True:
                 field_spec = self._clone_spec(spec)
-                while self._match(T.STAR):
-                    field_spec.pointer_depth += 1
+                field_spec.pointer_depth += self._stars()
                 fname = self._expect(T.IDENT).text
-                while self._match(T.LBRACKET):
-                    dim = self._expect(T.INT_LIT).value
-                    self._expect(T.RBRACKET)
-                    field_spec.array_dims.append(dim)
+                self._array_dims(field_spec)
                 fields.append((fname, field_spec))
                 if not self._match(T.COMMA):
                     break
@@ -183,13 +252,17 @@ class Parser:
 
     def _parse_global_or_function(self):
         spec = self._parse_type_spec()
-        first_depth = 0
-        while self._match(T.STAR):
-            first_depth += 1
+        depth = self._stars()
         name_token = self._expect(T.IDENT)
         if self._at(T.LPAREN):
-            return self._parse_function(spec, first_depth, name_token)
-        return self._parse_global_tail(spec, first_depth, name_token)
+            return self._parse_function(spec, depth, name_token)
+        decls = [self._declarator(ast.GlobalDecl, spec, depth, name_token)]
+        while self._match(T.COMMA):
+            decls.append(self._declarator(
+                ast.GlobalDecl, spec, self._stars(), self._expect(T.IDENT)
+            ))
+        self._expect(T.SEMI)
+        return decls
 
     def _parse_function(self, spec, pointer_depth, name_token):
         return_spec = self._clone_spec(spec)
@@ -202,8 +275,7 @@ class Parser:
             else:
                 while True:
                     pspec = self._parse_type_spec()
-                    while self._match(T.STAR):
-                        pspec.pointer_depth += 1
+                    pspec.pointer_depth += self._stars()
                     pname = self._expect(T.IDENT)
                     while self._match(T.LBRACKET):
                         # Array parameters decay to pointers.
@@ -226,86 +298,73 @@ class Parser:
             name_token.text, return_spec, params, body, line=name_token.line
         )
 
-    def _parse_global_tail(self, spec, first_depth, first_name):
-        decls = []
-        depth, name_token = first_depth, first_name
-        while True:
-            var_spec = self._clone_spec(spec)
-            var_spec.pointer_depth += depth
-            while self._match(T.LBRACKET):
-                dim = self._expect(T.INT_LIT).value
-                self._expect(T.RBRACKET)
-                var_spec.array_dims.append(dim)
-            init = None
-            if self._match(T.ASSIGN):
-                init = self._parse_initializer()
-            decls.append(
-                ast.GlobalDecl(
-                    name_token.text,
-                    var_spec,
-                    init,
-                    volatile=var_spec.volatile,
-                    atomic=var_spec.atomic,
-                    line=name_token.line,
-                )
-            )
-            if self._match(T.COMMA):
-                depth = 0
-                while self._match(T.STAR):
-                    depth += 1
-                name_token = self._expect(T.IDENT)
-                continue
-            self._expect(T.SEMI)
-            return decls
+    def _declarator(self, node_class, spec, depth, name_token):
+        """One variable of a declaration: ``node_class`` is GlobalDecl or
+        LocalDecl; pointer stars and the name are already consumed."""
+        var_spec = self._clone_spec(spec)
+        var_spec.pointer_depth += depth
+        self._array_dims(var_spec)
+        init = self._parse_initializer() if self._match(T.ASSIGN) else None
+        return node_class(
+            name_token.text, var_spec, init, volatile=var_spec.volatile,
+            atomic=var_spec.atomic, line=name_token.line,
+        )
+
+    def _stars(self):
+        """Consume a run of ``*``; returns how many pointer levels."""
+        depth = 0
+        while self._match(T.STAR):
+            depth += 1
+        return depth
+
+    def _array_dims(self, spec):
+        while self._match(T.LBRACKET):
+            spec.array_dims.append(self._expect(T.INT_LIT).value)
+            self._expect(T.RBRACKET)
 
     def _parse_initializer(self):
-        if self._match(T.LBRACE):
-            items = []
-            while not self._at(T.RBRACE):
-                items.append(self._parse_initializer())
-                if not self._match(T.COMMA):
-                    break
-            self._expect(T.RBRACE)
-            return items
-        return self._parse_assignment()
+        start = self.pos
+        token = self._match(T.LBRACE)
+        if token is None:
+            return self._check_depth(self._parse_assignment(), start)
+        self._nest(token)
+        items = []
+        while not self._at(T.RBRACE):
+            items.append(self._parse_initializer())
+            if not self._match(T.COMMA):
+                break
+        self._expect(T.RBRACE)
+        self.depth -= 1
+        return self._check_depth(items, start)
 
     # -- types --------------------------------------------------------------
 
     def _parse_type_spec(self):
-        line = self._peek().line
+        tokens = self.tokens
+        line = tokens[self.pos].line
         volatile = atomic = False
         base = None
         struct_name = None
         alias = None
         while True:
-            token = self._peek()
-            if token.kind is T.KW_VOLATILE:
+            token = tokens[self.pos]
+            kind = token.kind
+            if kind in _BASE_WORDS:
+                base = _BASE_WORDS[kind] or base
+            elif kind is T.KW_VOLATILE:
                 volatile = True
-                self._advance()
-            elif token.kind is T.KW_ATOMIC:
+            elif kind is T.KW_ATOMIC:
                 atomic = True
-                self._advance()
-            elif token.kind in (T.KW_CONST, T.KW_STATIC, T.KW_EXTERN,
-                                T.KW_UNSIGNED, T.KW_SIGNED):
-                self._advance()
-            elif token.kind in (T.KW_INT, T.KW_LONG, T.KW_CHAR):
-                base = "int"
-                self._advance()
-                # Swallow ``long long`` / ``long int`` combinations.
-                while self._at(T.KW_INT, T.KW_LONG, T.KW_CHAR):
-                    self._advance()
-            elif token.kind is T.KW_VOID:
-                base = "void"
-                self._advance()
-            elif token.kind is T.KW_STRUCT:
-                self._advance()
+            elif kind is T.KW_STRUCT:
+                self.pos += 1
                 struct_name = self._expect(T.IDENT).text
                 base = "struct"
-            elif token.kind is T.IDENT and token.text in self.typedefs and base is None:
+                continue
+            elif kind is T.IDENT and base is None and token.text in self.typedefs:
                 alias = self.typedefs[token.text]
-                self._advance()
             else:
                 break
+            self.pos += 1
         if alias is not None:
             spec = self._clone_spec(alias)
             spec.volatile = spec.volatile or volatile
@@ -514,109 +573,89 @@ class Parser:
 
     def _parse_local_decl(self):
         spec = self._parse_type_spec()
-        statements = []
-        line = spec.line
-        while True:
-            var_spec = self._clone_spec(spec)
-            while self._match(T.STAR):
-                var_spec.pointer_depth += 1
-            name = self._expect(T.IDENT)
-            while self._match(T.LBRACKET):
-                dim = self._expect(T.INT_LIT).value
-                self._expect(T.RBRACKET)
-                var_spec.array_dims.append(dim)
-            init = None
-            if self._match(T.ASSIGN):
-                init = self._parse_initializer()
-            statements.append(
-                ast.LocalDecl(
-                    name.text,
-                    var_spec,
-                    init,
-                    volatile=var_spec.volatile,
-                    atomic=var_spec.atomic,
-                    line=name.line,
-                )
-            )
-            if not self._match(T.COMMA):
-                break
+        decls = [self._declarator(
+            ast.LocalDecl, spec, self._stars(), self._expect(T.IDENT)
+        )]
+        while self._match(T.COMMA):
+            decls.append(self._declarator(
+                ast.LocalDecl, spec, self._stars(), self._expect(T.IDENT)
+            ))
         self._expect(T.SEMI)
-        if len(statements) == 1:
-            return statements[0]
-        return ast.Block(statements, line=line)
+        return decls[0] if len(decls) == 1 else ast.Block(decls, line=spec.line)
 
     # -- expressions -----------------------------------------------------------
 
     def _parse_expression(self):
+        start = self.pos
         expr = self._parse_assignment()
         while self._match(T.COMMA):
             right = self._parse_assignment()
             expr = ast.Binary(",", expr, right, line=right.line)
-        return expr
+        return self._check_depth(expr, start)
 
     def _parse_assignment(self):
-        left = self._parse_conditional()
-        token = self._peek()
+        left = self._parse_binary(1)
+        token = self.tokens[self.pos]
+        if token.kind is T.QUESTION:
+            left = self._parse_conditional(left)
+            token = self.tokens[self.pos]
         if token.kind in _ASSIGN_OPS:
-            self._advance()
+            self.pos += 1
             value = self._parse_assignment()
             return ast.Assign(left, value, op=_ASSIGN_OPS[token.kind], line=token.line)
         return left
 
-    def _parse_conditional(self):
-        cond = self._parse_binary(0)
-        if self._match(T.QUESTION):
-            then_expr = self._parse_assignment()
-            self._expect(T.COLON)
-            else_expr = self._parse_conditional()
-            return ast.Conditional(cond, then_expr, else_expr, line=cond.line)
-        return cond
+    def _parse_conditional(self, cond):
+        """The rest of ``cond ? then : else`` from the ``?`` on."""
+        token = self._advance()
+        self._nest(token)
+        then_expr = self._parse_assignment()
+        self._expect(T.COLON)
+        else_expr = self._parse_binary(1)
+        if self._at(T.QUESTION):
+            else_expr = self._parse_conditional(else_expr)
+        self.depth -= 1
+        return ast.Conditional(cond, then_expr, else_expr, line=cond.line)
 
-    def _parse_binary(self, tier):
-        if tier >= len(_BINARY_TIERS):
-            return self._parse_unary()
-        left = self._parse_binary(tier + 1)
+    def _parse_binary(self, min_prec, left=None):
+        """Precedence climbing: extend ``left`` (or the next operand) with
+        every operator binding at least ``min_prec``."""
+        if left is None:
+            left = self._parse_unary()
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            matched = None
-            for kind, op in _BINARY_TIERS[tier]:
-                if token.kind is kind:
-                    matched = op
-                    break
-            if matched is None:
+            token = tokens[self.pos]
+            entry = _BINARY_OPS.get(token.kind)
+            if entry is None or entry[0] < min_prec:
                 return left
-            self._advance()
-            right = self._parse_binary(tier + 1)
-            left = ast.Binary(matched, left, right, line=token.line)
+            prec, op = entry
+            self.pos += 1
+            right = self._parse_unary()
+            tighter = _BINARY_OPS.get(tokens[self.pos].kind)
+            if tighter is not None and tighter[0] > prec:
+                right = self._parse_binary(prec + 1, right)
+            left = ast.Binary(op, left, right, line=token.line)
 
     def _parse_unary(self):
-        token = self._peek()
+        # Every recursive path through an expression passes here or
+        # through a conditional, so that is where levels are counted
+        # (``_nest``, inlined on this hot path).
+        token = self.tokens[self.pos]
         kind = token.kind
-        if kind in (T.MINUS, T.TILDE, T.BANG, T.STAR, T.AMP, T.PLUS):
-            self._advance()
-            operand = self._parse_unary()
-            if kind is T.PLUS:
-                return operand
-            ops = {
-                T.MINUS: "-",
-                T.TILDE: "~",
-                T.BANG: "!",
-                T.STAR: "*",
-                T.AMP: "&",
-            }
-            return ast.Unary(ops[kind], operand, line=token.line)
-        if kind in (T.PLUS_PLUS, T.MINUS_MINUS):
-            self._advance()
-            operand = self._parse_unary()
-            op = "++" if kind is T.PLUS_PLUS else "--"
-            return ast.Unary(op, operand, postfix=False, line=token.line)
-        if kind is T.KW_SIZEOF:
-            self._advance()
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise _too_deep(token) from None
+        if kind in _PREFIX_OPS:
+            self.pos += 1
+            node = self._parse_unary()
+            if kind is not T.PLUS:
+                node = ast.Unary(_PREFIX_OPS[kind], node, line=token.line)
+        elif kind is T.KW_SIZEOF:
+            self.pos += 1
             self._expect(T.LPAREN)
             if self._starts_type():
                 spec = self._parse_type_spec()
-                while self._match(T.STAR):
-                    spec.pointer_depth += 1
+                spec.pointer_depth += self._stars()
                 node = ast.SizeOf(spec, line=token.line)
             else:
                 # sizeof(expr): modelled as sizeof(int) == 1 slot.
@@ -625,58 +664,48 @@ class Parser:
                     ast.TypeSpec("int", line=token.line), line=token.line
                 )
             self._expect(T.RPAREN)
-            return node
-        if kind is T.LPAREN and self._starts_type(1):
-            self._advance()
+        elif kind is T.LPAREN and self._starts_type(1):
+            self.pos += 1
             spec = self._parse_type_spec()
-            while self._match(T.STAR):
-                spec.pointer_depth += 1
+            spec.pointer_depth += self._stars()
             self._expect(T.RPAREN)
-            operand = self._parse_unary()
-            return ast.Cast(spec, operand, line=token.line)
-        return self._parse_postfix()
+            node = ast.Cast(spec, self._parse_unary(), line=token.line)
+        else:
+            node = self._parse_primary()
+            if self.tokens[self.pos].kind in _POSTFIX_STARTERS:
+                node = self._parse_postfix(node)
+        self.depth -= 1
+        return node
 
-    def _parse_postfix(self):
-        expr = self._parse_primary()
+    def _parse_postfix(self, expr):
+        tokens = self.tokens
         while True:
-            token = self._peek()
+            token = tokens[self.pos]
             kind = token.kind
             if kind is T.LBRACKET:
-                self._advance()
+                self.pos += 1
                 index = self._parse_expression()
                 self._expect(T.RBRACKET)
                 expr = ast.Index(expr, index, line=token.line)
-            elif kind is T.DOT:
-                self._advance()
+            elif kind is T.DOT or kind is T.ARROW:
+                self.pos += 1
                 field = self._expect(T.IDENT).text
-                expr = ast.Member(expr, field, arrow=False, line=token.line)
-            elif kind is T.ARROW:
-                self._advance()
-                field = self._expect(T.IDENT).text
-                expr = ast.Member(expr, field, arrow=True, line=token.line)
-            elif kind in (T.PLUS_PLUS, T.MINUS_MINUS):
-                self._advance()
+                expr = ast.Member(expr, field, arrow=kind is T.ARROW,
+                                  line=token.line)
+            elif kind is T.PLUS_PLUS or kind is T.MINUS_MINUS:
+                self.pos += 1
                 op = "++" if kind is T.PLUS_PLUS else "--"
                 expr = ast.Unary(op, expr, postfix=True, line=token.line)
             else:
                 return expr
 
     def _parse_primary(self):
-        token = self._peek()
+        token = self.tokens[self.pos]
         kind = token.kind
-        if kind is T.INT_LIT or kind is T.CHAR_LIT:
-            self._advance()
-            return ast.IntLiteral(token.value, line=token.line)
-        if kind is T.STRING_LIT:
-            self._advance()
-            return ast.StringLiteral(token.value, line=token.line)
-        if kind is T.KW_NULL:
-            self._advance()
-            return ast.NullLiteral(line=token.line)
         if kind is T.IDENT:
-            self._advance()
-            if self._at(T.LPAREN):
-                self._advance()
+            self.pos += 1
+            if self.tokens[self.pos].kind is T.LPAREN:
+                self.pos += 1
                 args = []
                 if not self._at(T.RPAREN):
                     while True:
@@ -686,11 +715,20 @@ class Parser:
                 self._expect(T.RPAREN)
                 return ast.Call(token.text, args, line=token.line)
             return ast.Identifier(token.text, line=token.line)
+        if kind is T.INT_LIT or kind is T.CHAR_LIT:
+            self.pos += 1
+            return ast.IntLiteral(token.value, line=token.line)
         if kind is T.LPAREN:
-            self._advance()
+            self.pos += 1
             expr = self._parse_expression()
             self._expect(T.RPAREN)
             return expr
+        if kind is T.STRING_LIT:
+            self.pos += 1
+            return ast.StringLiteral(token.value, line=token.line)
+        if kind is T.KW_NULL:
+            self.pos += 1
+            return ast.NullLiteral(line=token.line)
         raise ParseError(
             f"unexpected token {token.text!r} in expression", token.line, token.column
         )

@@ -1,11 +1,11 @@
 """Token kinds and the Token value object for the Mini-C lexer."""
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
-    """All token categories produced by :class:`repro.lang.lexer.Lexer`."""
+    """All token categories produced by :func:`repro.lang.lexer.tokenize`."""
 
     # Literals and identifiers.
     IDENT = auto()
@@ -93,6 +93,11 @@ class TokenKind(Enum):
 
     EOF = auto()
 
+    # Members are singletons compared by identity, so hash them by
+    # identity too: ``Enum.__hash__`` hashes the name in Python code,
+    # and the parser looks token kinds up in tables for every token.
+    __hash__ = object.__hash__
+
 
 #: Maps keyword spellings to their token kinds.
 KEYWORDS = {
@@ -179,9 +184,13 @@ OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source position."""
+class Token(NamedTuple):
+    """A single lexical token with its source position.
+
+    A named tuple rather than a dataclass: a large module lexes to over
+    a hundred thousand tokens, and a tuple is built about three times
+    faster than a frozen dataclass.
+    """
 
     kind: TokenKind
     text: str

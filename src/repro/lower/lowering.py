@@ -8,6 +8,7 @@ become ``gep`` instructions that record struct types and field offsets.
 """
 
 from repro.errors import LoweringError
+from repro.gcpause import gc_paused
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import C11_ORDER_BY_VALUE, MemoryOrder
 from repro.ir.module import Function, Module
@@ -863,6 +864,7 @@ class Lowerer:
         return self.builder.binop("!=", value, Constant(0, INT))
 
 
+@gc_paused
 def lower_program(program, module_name="module"):
     """Lower a sema-annotated ``program`` into a fresh IR module."""
     return Lowerer(program, module_name).lower()

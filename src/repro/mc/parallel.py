@@ -58,7 +58,9 @@ def task_module(task):
     from repro.api import port_module
     from repro.core.config import PortingLevel
     from repro.core.workers import cached_module
+    from repro.gcpause import collect_between_jobs
 
+    collect_between_jobs()
     module = cached_module(task.source, task.name, is_ir=task.is_ir)
     if task.level is not None:
         module, _report = port_module(

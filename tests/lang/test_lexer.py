@@ -112,3 +112,52 @@ def test_logical_operators():
     assert kinds("&& || ! & |") == [
         T.AND_AND, T.OR_OR, T.BANG, T.AMP, T.PIPE,
     ]
+
+
+@pytest.mark.parametrize("source,column", [
+    ("0x", 1), ("int x = 0x;", 9), ("0XUL", 1), ("a + 0xg", 5),
+])
+def test_hex_literal_without_digits_is_a_located_error(source, column):
+    with pytest.raises(LexerError, match="invalid hex literal") as excinfo:
+        tokenize(source)
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+
+def test_hex_literal_without_digits_fails_compile_source():
+    from repro.api import compile_source
+
+    with pytest.raises(LexerError) as excinfo:
+        compile_source("int x = 0x;")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 9)
+
+
+def test_invalid_octal_literal_is_located():
+    with pytest.raises(LexerError, match="invalid octal literal '09'") as excinfo:
+        tokenize("x = 09;")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 5)
+
+
+@pytest.mark.parametrize("source,message", [
+    ('x = "abc', "unterminated string literal"),
+    ("x = 'a", "unterminated character literal"),
+    ("x = '\\'", "unterminated character literal"),
+    ("x = /* open", "unterminated block comment"),
+])
+def test_unterminated_literals_are_located_at_their_start(source, message):
+    with pytest.raises(LexerError, match=message) as excinfo:
+        tokenize(source)
+    assert (excinfo.value.line, excinfo.value.column) == (1, 5)
+
+
+def test_positions_after_multiline_tokens():
+    tokens = tokenize('/* a\nb */ x "s\nt" y\n  z')
+    assert [(t.text, t.line, t.column) for t in tokens] == [
+        ("x", 2, 6), ("s\nt", 2, 8), ("y", 3, 4), ("z", 4, 3), ("", 4, 4),
+    ]
+
+
+def test_token_value_semantics():
+    token = tokenize("abc")[0]
+    assert token == (T.IDENT, "abc", 1, 1, None)
+    assert repr(token) == "Token(IDENT, 'abc', 1:1)"
+    assert token.value is None

@@ -1,11 +1,13 @@
 """Unit tests for the Mini-C parser."""
 
+import sys
+
 import pytest
 
 from repro.api import compile_source
 from repro.errors import ParseError, SourceError
 from repro.lang import ast_nodes as ast
-from repro.lang.parser import parse
+from repro.lang.parser import MAX_EXPR_DEPTH, parse
 
 
 def test_empty_program():
@@ -256,6 +258,89 @@ def test_deep_nesting_raises_located_source_error(depth):
 
 def test_moderate_nesting_still_compiles():
     compile_source(_nested(40))
+
+
+def _chain(terms):
+    return ("int main() { int x; x = " + " + ".join(["1"] * terms)
+            + "; return x; }")
+
+
+def _unary(depth):
+    return "int main() { int x; x = " + "!" * depth + "1; return x; }"
+
+
+# ``x = <expr>`` opens one level for its right operand, so N parentheses
+# or N prefix operators reach depth N + 1; an N-term chain builds a tree
+# N edges deep (the assignment, then N - 1 additions).
+@pytest.mark.parametrize("build,size", [
+    (_nested, MAX_EXPR_DEPTH - 1),
+    (_unary, MAX_EXPR_DEPTH - 1),
+    (_chain, MAX_EXPR_DEPTH),
+])
+def test_nesting_exactly_at_the_limit_compiles(build, size):
+    assert MAX_EXPR_DEPTH >= 63  # C11 5.2.4.1: 63 levels of parentheses
+    module = compile_source(build(size), cache=False)
+    assert "main" in module.functions
+
+
+@pytest.mark.parametrize("build,size,column", [
+    (_nested, MAX_EXPR_DEPTH, 25 + MAX_EXPR_DEPTH),
+    (_unary, MAX_EXPR_DEPTH, 25 + MAX_EXPR_DEPTH),
+    (_chain, MAX_EXPR_DEPTH + 1, 21),
+])
+def test_nesting_one_past_the_limit_is_located(build, size, column):
+    with pytest.raises(ParseError, match="nesting too deep") as info:
+        compile_source(build(size), cache=False)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+_HOSTILE = {
+    "flat_chain": _chain(1000),
+    "chains_in_parentheses": "int main() { int x; x = "
+    + "(" * 20 + ("1 + " * 30 + "1) + ") * 19 + "1 + " * 30 + "1); return x; }",
+    "index_chain": "int a[2]; int main() { return a" + "[0]" * 500 + "; }",
+    "member_chain": "struct s { int v; }; struct s g; int main() { return g"
+    + ".v" * 500 + "; }",
+    "conditional_chain": "int main() { int x; x = "
+    + "1 ? 1 : " * 1000 + "1; return x; }",
+    "assignment_chain": "int main() { int x; " + "x = " * 1000 + "1; return x; }",
+    "comma_chain": "int main() { int x; x = 0" + ", x" * 1000 + "; return x; }",
+    "call_arguments": "int f(int a) { return a; } int main() { return "
+    + "f(" * 1000 + "1" + ")" * 1000 + "; }",
+    "initializer_braces": "int a[1] = " + "{" * 1000 + "1" + "}" * 1000 + ";",
+    "casts": "int main() { int x; x = " + "(int)" * 1000 + "1; return x; }",
+}
+
+
+@pytest.fixture
+def high_recursion_limit():
+    """Room for ten times the default stack: an error that still comes
+    out is the parser's own limit, not a caught ``RecursionError``."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * old)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_limit_does_not_move_with_the_recursion_limit(high_recursion_limit):
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse(_nested(MAX_EXPR_DEPTH))
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_deep_expressions_never_raise_recursion_error(name,
+                                                      high_recursion_limit):
+    with pytest.raises(ParseError, match="nesting too deep") as info:
+        compile_source(_HOSTILE[name], cache=False)
+    assert info.value.line == 1 and info.value.column > 0
+
+
+def test_deep_if_nesting_still_compiles():
+    depth = 200
+    source = ("int main() { int x = 0;\n" + "if (x < 5) {\n" * depth
+              + "x = x + 1;\n" + "}\n" * depth + "return x; }")
+    module = compile_source(source, cache=False)
+    assert "main" in module.functions
 
 
 def test_null_literal():

@@ -54,6 +54,17 @@ def tas_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["port", "check", "lint"])
+def test_malformed_source_is_reported_not_raised(tmp_path, capsys, command):
+    path = tmp_path / "chain.c"
+    path.write_text("int main() { int x; x = " + "+".join(["1"] * 1000)
+                    + "; return x; }\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"{path}:1:21: nesting too deep to parse"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_port_command(mp_file, capsys):
     assert main(["port", mp_file]) == 0
     out = capsys.readouterr().out
